@@ -27,7 +27,7 @@ for obj in scene.objects:
     print(f"  {obj.phrase:20s} bbox {obj.bbox}")
 
 _, stack = model.encode_image(scene.image)
-maps = activation_maps(stack, model.visual.proj.weight)
+maps = activation_maps(stack, model.params["proj.weight"])
 loc_cfg = LocalizationConfig(top_k=model.cfg.effective_top_k())
 
 for phrase, bbox in scene.regions:

@@ -20,7 +20,7 @@ from .loss import Batch, LossConfig, batch_loss, cosine_sim, similarity_matrix, 
 from .model import Model, ModelConfig
 from .text import Vocab, tokenize
 from .train import (AdamState, TrainSchedule, adam_step, effective_lr, load_checkpoint,
-                    save_checkpoint, train, train_epoch, trainable_set)
+                    save_checkpoint, train_epoch, trainable_set)
 
 __all__ = [
     "Tensor", "grad_check",
@@ -31,5 +31,5 @@ __all__ = [
     "Model", "ModelConfig",
     "Vocab", "tokenize",
     "AdamState", "TrainSchedule", "adam_step", "effective_lr", "load_checkpoint",
-    "save_checkpoint", "train", "train_epoch", "trainable_set",
+    "save_checkpoint", "train_epoch", "trainable_set",
 ]

@@ -12,8 +12,10 @@ stdout carries only JSON reports; progress and warnings go to stderr.  Exit
 codes: 0 success, 1 runtime failure, 2 usage error.  Every command is
 deterministic given its flags.
 
-Flags override config-file keys, which override the defaults below; unknown
-config keys are rejected.
+`semvis train` takes one flag and one --config key per field of ``ModelConfig``
+and ``TrainSchedule``, plus ``seed``; a checkpoint stores the same fields.
+Flags override config-file keys, which override the dataclass defaults;
+unknown config keys are rejected.
 """
 
 from __future__ import annotations
@@ -30,80 +32,42 @@ from .data import Dataset, SceneConfig, generate_dataset, read_dataset, write_da
 from .errors import DegenerateInputError
 from .evaluate import eval_pointing, eval_retrieval
 from .localize import LocalizationConfig, activation_maps, heatmap, point, render_heatmap
-from .loss import LossConfig
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, coerce_setting, setting_type
 from .ppm import read_ppm
 from .text import tokenize
 from .train import (AdamState, TrainSchedule, load_checkpoint, save_checkpoint, train)
 
-DEFAULTS: dict = {
-    # architecture
-    "backbone_channels": 64,
-    "hidden_channels": [16, 32, 64],
-    "adapt_channels": 64,
-    "embed_dim": 64,
-    "word_dim": 64,
-    "sru_layers": 2,
-    "pooling": "max_min",
-    "visual_dropout": 0.5,
-    "sru_dropout": 0.25,
-    # objective
-    "margin": 0.2,
-    "mining": "random",
-    # localization
-    "top_k": None,
-    # schedule: the TrainSchedule defaults, so a flagless `semvis train` runs them
-    **{f.name: f.default for f in fields(TrainSchedule)},
-    # misc
-    "seed": 1,
-    "crop_augment": False,
-}
+SEED_DEFAULT = 1
+_SETTINGS = (*fields(ModelConfig), *fields(TrainSchedule))
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+def _from_values(cls, values: dict):
+    return cls(**{f.name: coerce_setting(f, values[f.name]) for f in fields(cls)
+                  if f.name in values})
+
+
+def _merge_config(args: argparse.Namespace,
+                  parser: argparse.ArgumentParser) -> tuple[ModelConfig, TrainSchedule, int]:
+    """The dataclass defaults, overridden by the --config file, overridden by flags."""
+    values = {}
+    keys = [f.name for f in _SETTINGS] + ["seed"]
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
+                values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"--config {args.config}: {exc}")
-        unknown = sorted(set(file_cfg) - set(DEFAULTS))
+        if not isinstance(values, dict):
+            parser.error(f"--config {args.config}: expected a JSON object")
+        unknown = sorted(set(values) - set(keys))
         if unknown:
             parser.error(f"--config {args.config}: unknown keys {unknown}")
-        cfg.update(file_cfg)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
-
-
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        backbone_channels=int(cfg["backbone_channels"]),
-        hidden_channels=tuple(int(c) for c in cfg["hidden_channels"]),
-        adapt_channels=int(cfg["adapt_channels"]),
-        embed_dim=int(cfg["embed_dim"]),
-        word_dim=int(cfg["word_dim"]),
-        sru_layers=int(cfg["sru_layers"]),
-        pooling=cfg["pooling"],
-        visual_dropout=float(cfg["visual_dropout"]),
-        sru_dropout=float(cfg["sru_dropout"]),
-        margin=float(cfg["margin"]),
-        mining=cfg["mining"],
-        top_k=None if cfg["top_k"] in (None, -1) else int(cfg["top_k"]),
-    )
-
-
-def _schedule(cfg: dict) -> TrainSchedule:
-    return TrainSchedule(
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        lr0=float(cfg["lr0"]),
-        halving_until_epoch=int(cfg["halving_until_epoch"]),
-        freeze_epochs=int(cfg["freeze_epochs"]),
-    )
+    values.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
+    try:
+        return (_from_values(ModelConfig, values), _from_values(TrainSchedule, values),
+                int(values.get("seed", SEED_DEFAULT)))
+    except (TypeError, ValueError) as exc:
+        parser.error(f"bad configuration: {exc}")
 
 
 def _parse_objects(spec: str) -> tuple[int, int]:
@@ -153,11 +117,9 @@ def cmd_train(args, parser) -> int:
             print("warning: dataset vocabulary differs from checkpoint vocabulary",
                   file=sys.stderr)
     else:
-        cfg = _merge_config(args, parser)
-        model = Model.initialize(_model_config(cfg), dataset.vocab, int(cfg["seed"]))
+        cfg, sched, seed = _merge_config(args, parser)
+        model = Model.initialize(cfg, dataset.vocab, seed)
         state = AdamState()
-        sched = _schedule(cfg)
-        seed = int(cfg["seed"])
         start_epoch = 0
 
     history = train(model, dataset, sched, seed, state=state, start_epoch=start_epoch,
@@ -175,12 +137,13 @@ def cmd_eval_retrieval(args, parser) -> int:
     dataset = read_dataset(args.data)
     images, captions, owners = _encode_corpus(model, dataset)
 
-    folds = max(1, args.folds)
     n = images.shape[0]
-    bounds = np.linspace(0, n, folds + 1).astype(int)
+    if not 1 <= args.folds <= n:
+        parser.error(f"--folds must be between 1 and the image count {n}, got {args.folds}")
+    bounds = np.linspace(0, n, args.folds + 1).astype(int)
     cap_reports, img_reports = [], []
     owners_arr = np.asarray(owners)
-    for f in range(folds):
+    for f in range(args.folds):
         lo, hi = bounds[f], bounds[f + 1]
         keep = (owners_arr >= lo) & (owners_arr < hi)
         sim = images[lo:hi] @ captions[keep].T
@@ -223,7 +186,7 @@ def cmd_localize(args, parser) -> int:
               "localizing the <unk> embedding", file=sys.stderr)
 
     _, stack = model.encode_image(image, training=False)
-    maps = activation_maps(stack, model.visual.proj.weight)
+    maps = activation_maps(stack, model.params["proj.weight"])
     embedding = model.encode_text(token_ids, training=False)
     cfg = LocalizationConfig(top_k=model.cfg.effective_top_k())
     hm = heatmap(maps, embedding, cfg, image.shape[1:], image.shape[1] // maps.shape[1])
@@ -243,20 +206,12 @@ def cmd_localize(args, parser) -> int:
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with configuration keys (flags win)")
-    for key, default in DEFAULTS.items():
-        flag = "--" + key.replace("_", "-")
-        if key == "hidden_channels":
-            sub.add_argument(flag, type=lambda s: [int(c) for c in s.split(",")],
-                             default=None, help=f"comma-separated (default {default})")
-        elif isinstance(default, bool):
-            sub.add_argument(flag, action="store_const", const=True, default=None,
-                             help=f"(default {default})")
-        elif key in ("pooling", "mining"):
-            sub.add_argument(flag, type=str, default=None, help=f"(default {default})")
-        elif isinstance(default, float):
-            sub.add_argument(flag, type=float, default=None, help=f"(default {default})")
-        else:
-            sub.add_argument(flag, type=int, default=None, help=f"(default {default})")
+    for f in _SETTINGS:
+        kind = setting_type(f)
+        sub.add_argument("--" + f.name.replace("_", "-"), choices=f.metadata.get("choices"),
+                         type=(lambda s: [int(c) for c in s.split(",")]) if kind is tuple else kind,
+                         default=None, help=f"(default {f.default})")
+    sub.add_argument("--seed", type=int, default=None, help=f"(default {SEED_DEFAULT})")
 
 
 def build_parser() -> argparse.ArgumentParser:

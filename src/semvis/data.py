@@ -251,38 +251,3 @@ def _object_from_region(phrase: str, bbox: BBox) -> SceneObject:
     if len(words) == 3 and words[1] in COLORS and words[2] in SHAPES:
         return SceneObject(words[2], words[1], bbox)
     raise ValueError(f"region phrase {phrase!r} does not name a color and shape")
-
-
-def scale_and_crop(image: np.ndarray, out_size: int) -> np.ndarray:
-    """Resize so the smaller side equals ``out_size`` then center-crop square.
-
-    Test-time alternative to feeding images at native size; synthetic scenes
-    are already square so this is exercised only by its unit test.
-    """
-    from .localize import bilinear_resize
-    _, h, w = image.shape
-    scale = out_size / min(h, w)
-    new_h, new_w = max(out_size, round(h * scale)), max(out_size, round(w * scale))
-    resized = np.stack([bilinear_resize(image[ch].astype(np.float64), new_h, new_w)
-                        for ch in range(3)])
-    y0 = (new_h - out_size) // 2
-    x0 = (new_w - out_size) // 2
-    out = resized[:, y0:y0 + out_size, x0:x0 + out_size]
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
-
-
-def random_crop_resize(image: np.ndarray, rng: np.random.Generator,
-                       out_size: int, min_frac: float = 0.6) -> np.ndarray:
-    """Random rectangular crop, resized back to a square of ``out_size``.
-
-    Optional train-time augmentation; off by default for synthetic data.
-    """
-    from .localize import bilinear_resize
-    _, h, w = image.shape
-    ch = int(rng.integers(int(h * min_frac), h + 1))
-    cw = int(rng.integers(int(w * min_frac), w + 1))
-    y0 = int(rng.integers(0, h - ch + 1))
-    x0 = int(rng.integers(0, w - cw + 1))
-    crop = image[:, y0:y0 + ch, x0:x0 + cw].astype(np.float64)
-    out = np.stack([bilinear_resize(crop[c], out_size, out_size) for c in range(3)])
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)

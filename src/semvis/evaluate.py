@@ -111,7 +111,7 @@ def eval_pointing(model, regions, cfg: LocalizationConfig) -> PointingReport:
         key = id(image)
         if key not in stack_cache:
             _, stack = model.encode_image(image, training=False)
-            maps = activation_maps(stack, model.visual.proj.weight)
+            maps = activation_maps(stack, model.params["proj.weight"])
             stack_cache[key] = (maps, image.shape[1:])
         maps, (height, width) = stack_cache[key]
         embedding = model.encode_text(phrase, training=False)

@@ -22,7 +22,6 @@ from .ppm import write_pgm, write_ppm
 @dataclass
 class LocalizationConfig:
     top_k: int
-    rank_by_abs: bool = False   # rank entries by |value| instead of signed value
 
     def __post_init__(self):
         if self.top_k < 1:
@@ -61,16 +60,15 @@ def activation_maps(feature_stack, weight) -> np.ndarray:
     return (mat @ stack.reshape(c, h * w)).reshape(mat.shape[0], h, w)
 
 
-def top_k_indices(embedding, k: int, rank_by_abs: bool = False) -> np.ndarray:
-    """Indices of the k largest entries (signed by default), ties to the lower index.
+def top_k_indices(embedding, k: int) -> np.ndarray:
+    """Indices of the k largest (signed) entries, ties to the lower index.
 
     Returned in ascending index order.
     """
     v = _as_array(embedding)
     if k > v.size:
         raise ShapeError(f"top_k: k={k} exceeds embedding size {v.size}")
-    key = np.abs(v) if rank_by_abs else v
-    picked = np.argsort(-key, kind="stable")[:k]
+    picked = np.argsort(-v, kind="stable")[:k]
     return np.sort(picked)
 
 
@@ -80,7 +78,7 @@ def heatmap(maps: np.ndarray, embedding, cfg: LocalizationConfig,
     v = _as_array(embedding)
     if maps.shape[0] != v.size:
         raise ShapeError(f"heatmap: {maps.shape[0]} maps vs embedding size {v.size}")
-    idx = top_k_indices(v, cfg.top_k, cfg.rank_by_abs)
+    idx = top_k_indices(v, cfg.top_k)
     values = np.tensordot(np.abs(v[idx]), maps[idx], axes=1)
     return Heatmap(values, image_size, downsample)
 

@@ -20,6 +20,7 @@ from .errors import ContractError
 
 MINE_HARD = "hard"
 MINE_RANDOM = "random"
+MININGS = (MINE_HARD, MINE_RANDOM)   # a checkpoint stores the index
 
 
 @dataclass
@@ -30,7 +31,7 @@ class LossConfig:
     def __post_init__(self):
         if self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.mining not in (MINE_HARD, MINE_RANDOM):
+        if self.mining not in MININGS:
             raise ValueError(f"unknown mining mode {self.mining!r}")
 
 

@@ -1,8 +1,9 @@
-"""The two-path model: named parameters plus encode calls for both modalities."""
+"""The two-path model: one config, named parameters, encode calls for both modalities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import Field, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -10,12 +11,8 @@ from . import text as text_mod
 from . import visual as vis
 from .autodiff import Tensor
 from .errors import CheckpointError
-from .text import SruLayer, SruParams, Vocab
-from .visual import (AdaptParams, BackboneParams, ConvBlock, ProjectionParams,
-                     VisualConfig, VisualParams)
-
-MINE_HARD = "hard"
-MINE_RANDOM = "random"
+from .loss import MININGS
+from .text import Vocab
 
 _INIT_SALT = 7
 
@@ -29,33 +26,37 @@ class ModelConfig:
     sru_layers=4, top_k=180) is accepted unchanged.
     """
 
-    backbone_channels: int = 64
+    backbone_channels: int = 64                    # channels of the last backbone block
     hidden_channels: tuple[int, ...] = (16, 32, 64)
-    adapt_channels: int = 64
+    adapt_channels: int = 64                       # feature maps after the 1x1 layer
     embed_dim: int = 64
     word_dim: int = 64
     sru_layers: int = 2
-    pooling: str = vis.POOL_MAX_MIN
-    visual_dropout: float = 0.5
-    sru_dropout: float = 0.25
+    pooling: str = field(default=vis.POOL_MAX_MIN, metadata={"choices": vis.POOLINGS})
+    visual_dropout: float = 0.5                    # on the pooled vector, train mode
+    sru_dropout: float = 0.25                      # between recurrent layers, train mode
     margin: float = 0.2
-    mining: str = MINE_RANDOM
+    mining: str = field(default="random", metadata={"choices": MININGS})
     top_k: int | None = None   # None -> max(1, round(0.075 * embed_dim))
 
     def __post_init__(self):
+        for name in ("backbone_channels", "adapt_channels", "embed_dim", "word_dim",
+                     "sru_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(c < 1 for c in self.hidden_channels):
+            raise ValueError(f"hidden_channels must all be >= 1, got {self.hidden_channels}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, got {getattr(self, f.name)!r}")
+        for name in ("visual_dropout", "sru_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.mining not in (MINE_HARD, MINE_RANDOM):
-            raise ValueError(f"mining must be {MINE_HARD!r} or {MINE_RANDOM!r}, got {self.mining!r}")
-        if min(self.word_dim, self.sru_layers) < 1:
-            raise ValueError("word_dim and sru_layers must be >= 1")
         if self.top_k is not None and not 1 <= self.top_k <= self.embed_dim:
             raise ValueError(f"top_k must be in [1, {self.embed_dim}], got {self.top_k}")
-
-    def visual_config(self) -> VisualConfig:
-        return VisualConfig(self.backbone_channels, tuple(self.hidden_channels),
-                            self.adapt_channels, self.embed_dim, self.pooling,
-                            self.visual_dropout)
 
     def effective_top_k(self) -> int:
         if self.top_k is not None:
@@ -63,65 +64,87 @@ class ModelConfig:
         return max(1, round(0.075 * self.embed_dim))
 
 
+def setting_type(f: Field) -> type:
+    """int, float, str or tuple, read from a setting's default; a None default is an int."""
+    return int if f.default is None else type(f.default)
+
+
+def coerce_setting(f: Field, value):
+    """``value`` (from JSON, a flag or a checkpoint) as setting ``f`` holds it: a tuple
+    holds ints, and an optional int reads None or -1 as None."""
+    if f.default is None and value in (None, -1):
+        return None
+    kind = setting_type(f)
+    return tuple(int(c) for c in value) if kind is tuple else kind(value)
+
+
+def param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in initialization order."""
+    shapes = {}
+    channels = (3, *cfg.hidden_channels, cfg.backbone_channels)
+    for i, (cin, cout) in enumerate(zip(channels[:-1], channels[1:])):
+        shapes[f"backbone.{i}.kernel"] = (cout, cin, 3, 3)
+        shapes[f"backbone.{i}.bias"] = (cout,)
+    shapes["adapt.kernel"] = (cfg.adapt_channels, cfg.backbone_channels, 1, 1)
+    shapes["adapt.bias"] = (cfg.adapt_channels,)
+    shapes["proj.weight"] = (cfg.embed_dim, cfg.adapt_channels)
+    shapes["proj.bias"] = (cfg.embed_dim,)
+    shapes["word.table"] = (vocab_size, cfg.word_dim)
+    in_dim, hidden = cfg.word_dim, cfg.embed_dim
+    for i in range(cfg.sru_layers):
+        shapes[f"sru.{i}.weight"] = (3 * hidden, in_dim)
+        shapes[f"sru.{i}.bias_f"] = (hidden,)
+        shapes[f"sru.{i}.bias_r"] = (hidden,)
+        if in_dim != hidden:
+            shapes[f"sru.{i}.proj"] = (hidden, in_dim)
+        in_dim = hidden
+    return shapes
+
+
+def init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -> dict[str, Tensor]:
+    """Draw the tensors in table order: biases zero, the word table uniform(+-0.1), the
+    rest uniform(+-1/sqrt(fan_in)), fan_in being the size over the first axis."""
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith(("bias", "bias_f", "bias_r")):
+            data = np.zeros(shape)
+        elif name == "word.table":
+            data = rng.uniform(-0.1, 0.1, size=shape)
+        else:
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+            data = rng.uniform(-bound, bound, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
+
+
 class Model:
-    """Bundles the visual params, the word table and the recurrent text encoder.
+    """A config, a vocabulary and ``params``: every trainable tensor under the name
+    that the encoders, the optimizer and the checkpoint address it by."""
 
-    ``params`` maps stable names to the trainable tensors; the optimizer and
-    the checkpoint format address parameters by these names.
-    """
-
-    def __init__(self, cfg: ModelConfig, vocab: Vocab, visual: VisualParams,
-                 word_table: Tensor, sru: SruParams):
+    def __init__(self, cfg: ModelConfig, vocab: Vocab, params: dict[str, Tensor]):
         self.cfg = cfg
         self.vocab = vocab
-        self.visual = visual
-        self.word_table = word_table
-        self.sru = sru
-        self.params = self._name_params()
+        self.params = params
 
     @classmethod
     def initialize(cls, cfg: ModelConfig, vocab: Vocab, seed: int) -> "Model":
         rng = np.random.default_rng((seed, _INIT_SALT))
-        visual = vis.init_visual(cfg.visual_config(), rng)
-        word_table = text_mod.init_word_table(len(vocab), cfg.word_dim, rng)
-        sru = text_mod.init_sru(cfg.word_dim, cfg.embed_dim, cfg.sru_layers, rng)
-        return cls(cfg, vocab, visual, word_table, sru)
-
-    def _name_params(self) -> dict[str, Tensor]:
-        named: dict[str, Tensor] = {}
-        for i, block in enumerate(self.visual.backbone.blocks):
-            named[f"backbone.{i}.kernel"] = block.kernel
-            named[f"backbone.{i}.bias"] = block.bias
-        named["adapt.kernel"] = self.visual.adapt.kernel
-        named["adapt.bias"] = self.visual.adapt.bias
-        named["proj.weight"] = self.visual.proj.weight
-        named["proj.bias"] = self.visual.proj.bias
-        named["word.table"] = self.word_table
-        for i, layer in enumerate(self.sru.layers):
-            named[f"sru.{i}.weight"] = layer.weight
-            named[f"sru.{i}.bias_f"] = layer.bias_f
-            named[f"sru.{i}.bias_r"] = layer.bias_r
-            if layer.proj is not None:
-                named[f"sru.{i}.proj"] = layer.proj
-        return named
+        return cls(cfg, vocab, init_params(param_shapes(cfg, len(vocab)), rng))
 
     @classmethod
     def from_params(cls, cfg: ModelConfig, vocab: Vocab,
                     params: dict[str, np.ndarray]) -> "Model":
         """Rebuild a model from named arrays (the checkpoint loader's path)."""
-        model = cls.initialize(cfg, vocab, seed=0)
-        expected = set(model.params)
-        got = set(params)
-        if got != expected:
-            missing = sorted(expected - got)
-            unknown = sorted(got - expected)
-            raise CheckpointError(f"parameter names mismatch: missing={missing} unknown={unknown}")
-        for name, tensor in model.params.items():
-            arr = np.asarray(params[name], dtype=np.float64)
-            if arr.shape != tensor.data.shape:
-                raise CheckpointError(f"{name}: shape {arr.shape} != expected {tensor.data.shape}")
-            tensor.data = arr
-        return model
+        if cfg.sru_layers > len(params):   # each layer has tensors of its own; bounds the table
+            raise CheckpointError(f"sru_layers={cfg.sru_layers} exceeds the {len(params)} arrays")
+        shapes = param_shapes(cfg, len(vocab))
+        got = {name: np.shape(arr) for name, arr in params.items()}
+        if got != shapes:
+            bad = sorted(n for n in shapes.keys() | got.keys() if got.get(n) != shapes.get(n))
+            raise CheckpointError("parameters do not match the config: " + ", ".join(
+                f"{n} has shape {got.get(n)}, expected {shapes.get(n)}" for n in bad))
+        return cls(cfg, vocab, {name: Tensor(np.asarray(params[name], dtype=np.float64),
+                                             requires_grad=True) for name in shapes})
 
     # -- encoding ----------------------------------------------------------
 
@@ -129,14 +152,12 @@ class Model:
                      rng_key: tuple = ()) -> tuple[Tensor, Tensor]:
         """(embedding, feature stack) for a uint8 or float (3, H, W) image."""
         img = image if isinstance(image, Tensor) else vis.image_to_tensor(image)
-        return vis.encode_image(img, self.visual, self.cfg.visual_config(),
-                                training=training, rng_key=rng_key)
+        return vis.encode_image(img, self.params, self.cfg, training=training, rng_key=rng_key)
 
     def encode_text(self, text, training: bool = False, rng_key: tuple = ()) -> Tensor:
         """Embed a caption string, or a pre-tokenized list of token indices."""
         token_ids = text_mod.tokenize(text, self.vocab) if isinstance(text, str) else list(text)
-        return text_mod.encode_text(token_ids, self.word_table, self.sru,
-                                    dropout_p=self.cfg.sru_dropout,
+        return text_mod.encode_text(token_ids, self.params, self.cfg,
                                     training=training, rng_key=rng_key)
 
     def clone_config(self, **overrides) -> ModelConfig:

@@ -10,14 +10,16 @@ sentence embedding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DegenerateInputError, ShapeError
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 UNK_TOKEN = "<unk>"
 
@@ -68,71 +70,26 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
     return [vocab.lookup(w) for w in words]
 
 
-@dataclass
-class SruLayer:
-    """One recurrent layer.
-
-    ``weight`` stacks the three input transforms row-wise: candidate rows
-    [0, H), forget-gate rows [H, 2H), reset-gate rows [2H, 3H).  ``proj``
-    maps the input onto the hidden size for the highway term and is only
-    present when the input dimension differs from the hidden size.
-    """
-
-    weight: Tensor          # (3*hidden, in_dim)
-    bias_f: Tensor          # (hidden,)
-    bias_r: Tensor          # (hidden,)
-    proj: Tensor | None = None  # (hidden, in_dim) when in_dim != hidden
-
-    @property
-    def hidden(self) -> int:
-        return self.bias_f.shape[0]
-
-
-@dataclass
-class SruParams:
-    layers: list[SruLayer] = field(default_factory=list)
-
-
-def init_sru(word_dim: int, hidden: int, num_layers: int, rng: np.random.Generator) -> SruParams:
-    """Uniform(+-1/sqrt(in_dim)) weights, zero gate biases."""
-    layers = []
-    in_dim = word_dim
-    for _ in range(num_layers):
-        bound = 1.0 / np.sqrt(in_dim)
-        weight = Tensor(rng.uniform(-bound, bound, size=(3 * hidden, in_dim)), requires_grad=True)
-        bias_f = Tensor(np.zeros(hidden), requires_grad=True)
-        bias_r = Tensor(np.zeros(hidden), requires_grad=True)
-        proj = None
-        if in_dim != hidden:
-            proj = Tensor(rng.uniform(-bound, bound, size=(hidden, in_dim)), requires_grad=True)
-        layers.append(SruLayer(weight, bias_f, bias_r, proj))
-        in_dim = hidden
-    return SruParams(layers)
-
-
-def init_word_table(vocab_size: int, word_dim: int, rng: np.random.Generator) -> Tensor:
-    return Tensor(rng.uniform(-0.1, 0.1, size=(vocab_size, word_dim)), requires_grad=True)
-
-
-def sru_cell(x_t: Tensor, c_prev: Tensor, layer: SruLayer) -> tuple[Tensor, Tensor]:
-    """One recurrence step.
+def sru_cell(x_t: Tensor, c_prev: Tensor, params: dict, depth: int = 0) -> tuple[Tensor, Tensor]:
+    """One recurrence step of layer ``depth`` (tensors ``sru.{depth}.*``, see ``sru_layer``).
 
     candidate = W_x x_t
     f = sigmoid(W_f x_t + b_f),  r = sigmoid(W_r x_t + b_r)
     c_t = f * c_prev + (1 - f) * candidate
     h_t = r * tanh(c_t) + (1 - r) * x_hat        (x_hat = x_t, or proj @ x_t)
     """
-    hidden = layer.hidden
+    weight, bias_f, bias_r, proj = _layer(params, depth)
+    hidden = bias_f.shape[0]
     if c_prev.shape != (hidden,):
         raise ShapeError(f"sru_cell: carry shape {c_prev.shape} does not match hidden {hidden}")
-    wx = ad.matmul(layer.weight, x_t)
+    wx = ad.matmul(weight, x_t)
     candidate = ad.slice_rows(wx, 0, hidden)
-    f = ad.sigmoid(ad.add(ad.slice_rows(wx, hidden, 2 * hidden), layer.bias_f))
-    r = ad.sigmoid(ad.add(ad.slice_rows(wx, 2 * hidden, 3 * hidden), layer.bias_r))
+    f = ad.sigmoid(ad.add(ad.slice_rows(wx, hidden, 2 * hidden), bias_f))
+    r = ad.sigmoid(ad.add(ad.slice_rows(wx, 2 * hidden, 3 * hidden), bias_r))
     one = Tensor(np.ones(hidden))
     c_t = ad.add(ad.mul(f, c_prev), ad.mul(ad.sub(one, f), candidate))
-    if layer.proj is not None:
-        x_hat = ad.matmul(layer.proj, x_t)
+    if proj is not None:
+        x_hat = ad.matmul(proj, x_t)
     elif x_t.shape == (hidden,):
         x_hat = x_t
     else:
@@ -141,38 +98,52 @@ def sru_cell(x_t: Tensor, c_prev: Tensor, layer: SruLayer) -> tuple[Tensor, Tens
     return h_t, c_t
 
 
+def _layer(params: dict, depth: int) -> tuple:
+    prefix = f"sru.{depth}."
+    return (params[prefix + "weight"], params[prefix + "bias_f"], params[prefix + "bias_r"],
+            params.get(prefix + "proj"))
+
+
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sru_layer(x_seq: Tensor, layer: SruLayer) -> Tensor:
-    """Run one recurrent layer over a whole (T, in_dim) sequence.
+def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
+    """Run recurrent layer ``depth`` over a whole (T, in_dim) sequence.
+
+    The layer's tensors are ``sru.{depth}.weight`` (3*hidden, in_dim), which
+    stacks the three input transforms row-wise: candidate rows [0, H),
+    forget-gate rows [H, 2H), reset-gate rows [2H, 3H); ``bias_f`` and
+    ``bias_r`` (hidden,); and ``proj`` (hidden, in_dim), which maps the input
+    onto the hidden size for the highway term and is only present when the
+    input dimension differs from the hidden size.
 
     Semantically identical to chaining ``sru_cell`` with a zero initial
     carry (the test suite asserts the equivalence), but executes as a single
     graph node: the heavy input transforms batch into one matrix product
     and only the elementwise carry recurrence loops over time.
     """
-    hidden = layer.hidden
+    weight, bias_f, bias_r, proj = _layer(params, depth)
+    hidden = bias_f.shape[0]
     if x_seq.data.ndim != 2:
         raise ShapeError(f"sru_layer needs a (T, in_dim) sequence, got {x_seq.shape}")
     t_len, in_dim = x_seq.data.shape
-    if layer.proj is None and in_dim != hidden:
+    if proj is None and in_dim != hidden:
         raise ShapeError(f"sru_layer: input width {in_dim} needs a projection onto {hidden}")
 
     x = x_seq.data
-    wx = x @ layer.weight.data.T                     # (T, 3H)
+    wx = x @ weight.data.T                     # (T, 3H)
     cand = wx[:, :hidden]
-    f = _stable_sigmoid(wx[:, hidden:2 * hidden] + layer.bias_f.data)
-    r = _stable_sigmoid(wx[:, 2 * hidden:] + layer.bias_r.data)
+    f = _stable_sigmoid(wx[:, hidden:2 * hidden] + bias_f.data)
+    r = _stable_sigmoid(wx[:, 2 * hidden:] + bias_r.data)
     c = np.empty((t_len, hidden))
     prev = np.zeros(hidden)
     for t in range(t_len):
         prev = f[t] * prev + (1.0 - f[t]) * cand[t]
         c[t] = prev
     tc = np.tanh(c)
-    x_hat = x if layer.proj is None else x @ layer.proj.data.T
+    x_hat = x if proj is None else x @ proj.data.T
     h = r * tc + (1.0 - r) * x_hat
 
     def backward(g, accumulate):
@@ -192,20 +163,20 @@ def sru_layer(x_seq: Tensor, layer: SruLayer) -> Tensor:
         d_af = d_f * f * (1.0 - f)
         d_ar = d_r * r * (1.0 - r)
         d_wx = np.concatenate([d_cand, d_af, d_ar], axis=1)
-        accumulate(layer.weight, d_wx.T @ x)
-        accumulate(layer.bias_f, d_af.sum(axis=0))
-        accumulate(layer.bias_r, d_ar.sum(axis=0))
-        d_x = d_wx @ layer.weight.data
-        if layer.proj is None:
+        accumulate(weight, d_wx.T @ x)
+        accumulate(bias_f, d_af.sum(axis=0))
+        accumulate(bias_r, d_ar.sum(axis=0))
+        d_x = d_wx @ weight.data
+        if proj is None:
             d_x = d_x + d_xh
         else:
-            accumulate(layer.proj, d_xh.T @ x)
-            d_x = d_x + d_xh @ layer.proj.data
+            accumulate(proj, d_xh.T @ x)
+            d_x = d_x + d_xh @ proj.data
         accumulate(x_seq, d_x)
 
-    parents = [x_seq, layer.weight, layer.bias_f, layer.bias_r]
-    if layer.proj is not None:
-        parents.append(layer.proj)
+    parents = [x_seq, weight, bias_f, bias_r]
+    if proj is not None:
+        parents.append(proj)
     return ad.fused_op(h, parents, "sru_layer", backward)
 
 
@@ -214,21 +185,21 @@ def sru_layer(x_seq: Tensor, layer: SruLayer) -> Tensor:
 TEXT_DROPOUT_ID = 2
 
 
-def encode_text(token_ids: Sequence[int], word_table: Tensor, sru: SruParams,
-                dropout_p: float = 0.25, training: bool = False,
-                rng_key: tuple = ()) -> Tensor:
+def encode_text(token_ids: Sequence[int], params: dict, cfg: ModelConfig,
+                training: bool = False, rng_key: tuple = ()) -> Tensor:
     """Embed a token sequence as a unit vector.
 
-    Runs the stacked recurrence with a zero carry per layer, applies
-    inter-layer dropout to each hidden sequence that feeds the next layer
-    (train mode only), takes the top layer's last hidden state and
-    l2-normalizes it.
+    Looks the tokens up in ``word.table``, runs the ``cfg.sru_layers`` stacked
+    recurrent layers with a zero carry per layer, applies inter-layer dropout
+    to each hidden sequence that feeds the next layer (train mode only), takes
+    the top layer's last hidden state and l2-normalizes it.
     """
     if len(token_ids) == 0:
         raise DegenerateInputError("cannot encode an empty token sequence")
-    seq = ad.take_rows(word_table, list(token_ids))
-    for depth, layer in enumerate(sru.layers):
-        seq = sru_layer(seq, layer)
-        if training and dropout_p > 0.0 and depth < len(sru.layers) - 1:
-            seq = ad.dropout(seq, dropout_p, rng_key + (TEXT_DROPOUT_ID, depth), training=True)
+    seq = ad.take_rows(params["word.table"], list(token_ids))
+    for depth in range(cfg.sru_layers):
+        seq = sru_layer(seq, params, depth)
+        if training and cfg.sru_dropout > 0.0 and depth < cfg.sru_layers - 1:
+            seq = ad.dropout(seq, cfg.sru_dropout, rng_key + (TEXT_DROPOUT_ID, depth),
+                             training=True)
     return ad.l2_normalize(ad.take_row(seq, len(token_ids) - 1))

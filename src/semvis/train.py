@@ -13,9 +13,10 @@ entry count followed by entries of the form
 
     u32 name length | UTF-8 name | u32 rank | rank x u64 dims | f64 LE payload
 
-The model section also carries the architecture as ``config.*`` scalars and
-the vocabulary as ``vocab.*`` byte arrays, so a checkpoint alone rebuilds a
-usable model.
+The model section also carries one ``config.<field>`` scalar per ``ModelConfig``
+field (a choice as its index, None as -1) and the vocabulary as ``vocab.*``
+byte arrays, so a checkpoint alone rebuilds a usable model; the run section
+carries one ``schedule.<field>`` scalar per ``TrainSchedule`` field.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .autodiff import zero_grads
 from .data import Dataset
 from .errors import CheckpointError, ContractError
 from .loss import Batch, LossConfig, batch_loss
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, coerce_setting, setting_type
 from .text import Vocab
 
 _EPOCH_SALT = 11
@@ -249,78 +250,76 @@ class _Reader:
     def section(self) -> dict:
         out = {}
         for _ in range(self.u32()):
-            name = self.take(self.u32()).decode("utf-8")
+            # A name that is not UTF-8 fails the name checks like any other bad name.
+            name = self.take(self.u32()).decode("utf-8", "replace")
             rank = self.u32()
             shape = tuple(self.u64() for _ in range(rank))
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape)
-            out[name] = arr.astype(np.float64)
+            raw = self.take(8 * math.prod(shape))
+            try:   # numpy refuses ranks above 64 and dims it cannot index
+                out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            except ValueError as exc:
+                raise CheckpointError(f"{self.path}: {name}: {exc}") from None
         return out
 
 
-_POOLING_CODES = {"max_min": 0.0, "mean": 1.0}
-_MINING_CODES = {"hard": 0.0, "random": 1.0}
-
-
-def _config_entries(cfg: ModelConfig, vocab: Vocab) -> dict:
-    entries = {
-        "config.backbone_channels": np.float64(cfg.backbone_channels),
-        "config.hidden_channels": np.array(cfg.hidden_channels, dtype=np.float64),
-        "config.adapt_channels": np.float64(cfg.adapt_channels),
-        "config.embed_dim": np.float64(cfg.embed_dim),
-        "config.word_dim": np.float64(cfg.word_dim),
-        "config.sru_layers": np.float64(cfg.sru_layers),
-        "config.pooling": np.float64(_POOLING_CODES[cfg.pooling]),
-        "config.mining": np.float64(_MINING_CODES[cfg.mining]),
-        "config.margin": np.float64(cfg.margin),
-        "config.visual_dropout": np.float64(cfg.visual_dropout),
-        "config.sru_dropout": np.float64(cfg.sru_dropout),
-        "config.top_k": np.float64(-1 if cfg.top_k is None else cfg.top_k),
-    }
-    for i, token in enumerate(vocab.tokens):
-        entries[f"vocab.{i:06d}"] = np.frombuffer(token.encode("utf-8"), dtype=np.uint8
-                                                  ).astype(np.float64)
+def _settings_entries(settings, prefix: str) -> dict:
+    """One float64 entry per dataclass field; a choice is stored as its index, None as -1."""
+    entries = {}
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if "choices" in f.metadata:
+            value = f.metadata["choices"].index(value)
+        entries[prefix + f.name] = np.array(-1 if value is None else value, dtype=np.float64)
     return entries
 
 
-def _decode_config(entries: dict) -> tuple[ModelConfig, Vocab]:
-    def scalar(name):
-        if name not in entries:
-            raise CheckpointError(f"missing checkpoint field {name}")
-        return float(np.asarray(entries[name]).reshape(()))
+def _number(entries: dict, name: str, path, integral: bool = True, ndim: int = 0):
+    """Entry ``name`` as a number (a list at ``ndim`` 1), checked finite and maybe whole."""
+    if name not in entries:
+        raise CheckpointError(f"{path}: missing checkpoint entry {name}")
+    arr = entries[name]
+    if (arr.ndim != ndim or not np.isfinite(arr).all()
+            or (integral and (arr != np.round(arr)).any())):
+        raise CheckpointError(f"{path}: malformed checkpoint entry {name} (shape {arr.shape})")
+    return arr.tolist()
 
-    pooling = {v: k for k, v in _POOLING_CODES.items()}[scalar("config.pooling")]
-    mining = {v: k for k, v in _MINING_CODES.items()}[scalar("config.mining")]
-    top_k = scalar("config.top_k")
-    cfg = ModelConfig(
-        backbone_channels=int(scalar("config.backbone_channels")),
-        hidden_channels=tuple(int(v) for v in entries["config.hidden_channels"]),
-        adapt_channels=int(scalar("config.adapt_channels")),
-        embed_dim=int(scalar("config.embed_dim")),
-        word_dim=int(scalar("config.word_dim")),
-        sru_layers=int(scalar("config.sru_layers")),
-        pooling=pooling,
-        visual_dropout=scalar("config.visual_dropout"),
-        sru_dropout=scalar("config.sru_dropout"),
-        margin=scalar("config.margin"),
-        mining=mining,
-        top_k=None if top_k < 0 else int(top_k),
-    )
+
+def _decode_settings(cls, entries: dict, prefix: str, path):
+    """Rebuild dataclass ``cls`` from its ``prefix + field`` entries."""
+    values = {}
+    for f in fields(cls):
+        name, kind, choices = prefix + f.name, setting_type(f), f.metadata.get("choices")
+        value = _number(entries, name, path, kind is not float, 1 if kind is tuple else 0)
+        if choices:
+            if not 0 <= value < len(choices):
+                raise CheckpointError(f"{path}: {name} code {value} is not an index of {choices}")
+            value = choices[int(value)]
+        values[f.name] = coerce_setting(f, value)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: checkpoint entries {prefix}*: {exc}") from None
+
+
+def _decode_vocab(entries: dict, path) -> Vocab:
     tokens = []
-    i = 0
-    while f"vocab.{i:06d}" in entries:
-        raw = np.asarray(entries[f"vocab.{i:06d}"]).astype(np.uint8).tobytes()
-        tokens.append(raw.decode("utf-8"))
-        i += 1
-    if not tokens or tokens[0] != "<unk>":
-        raise CheckpointError("checkpoint vocabulary must start with <unk>")
-    return cfg, Vocab(tokens[1:])
+    while (name := f"vocab.{len(tokens):06d}") in entries:
+        try:
+            tokens.append(bytes(int(b) for b in _number(entries, name, path, ndim=1))
+                          .decode("utf-8"))
+        except ValueError:
+            raise CheckpointError(f"{path}: {name} is not a UTF-8 byte string") from None
+    if tokens[:1] != ["<unk>"] or len(set(tokens)) != len(tokens):
+        raise CheckpointError(f"{path}: the vocabulary must start with <unk> and repeat no token")
+    return Vocab(tokens[1:])
 
 
 def save_checkpoint(path, model: Model, state: AdamState, sched: TrainSchedule,
                     seed: int, next_epoch: int) -> None:
     model_section = {name: p.data for name, p in model.params.items()}
-    model_section.update(_config_entries(model.cfg, model.vocab))
+    model_section.update(_settings_entries(model.cfg, "config."))
+    for i, token in enumerate(model.vocab.tokens):
+        model_section[f"vocab.{i:06d}"] = np.frombuffer(token.encode("utf-8"), dtype=np.uint8)
 
     opt_section = {}
     for name in state.m:
@@ -328,15 +327,8 @@ def save_checkpoint(path, model: Model, state: AdamState, sched: TrainSchedule,
         opt_section[f"adam.v.{name}"] = state.v[name]
         opt_section[f"adam.t.{name}"] = np.float64(state.t[name])
 
-    run_section = {
-        "seed": np.float64(seed),
-        "next_epoch": np.float64(next_epoch),
-        "schedule.epochs": np.float64(sched.epochs),
-        "schedule.batch_size": np.float64(sched.batch_size),
-        "schedule.lr0": np.float64(sched.lr0),
-        "schedule.halving_until_epoch": np.float64(sched.halving_until_epoch),
-        "schedule.freeze_epochs": np.float64(sched.freeze_epochs),
-    }
+    run_section = {"seed": np.float64(seed), "next_epoch": np.float64(next_epoch),
+                   **_settings_entries(sched, "schedule.")}
 
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -361,10 +353,10 @@ def load_checkpoint(path) -> CheckpointBundle:
     if reader.pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - reader.pos} trailing bytes")
 
-    cfg, vocab = _decode_config(model_section)
+    cfg = _decode_settings(ModelConfig, model_section, "config.", path)
     params = {k: v for k, v in model_section.items()
               if not k.startswith(("config.", "vocab."))}
-    model = Model.from_params(cfg, vocab, params)
+    model = Model.from_params(cfg, _decode_vocab(model_section, path), params)
 
     state = AdamState()
     for key, arr in opt_section.items():
@@ -376,21 +368,10 @@ def load_checkpoint(path) -> CheckpointBundle:
         elif kind == "v":
             state.v[name] = arr.copy()
         elif kind == "t":
-            state.t[name] = int(arr.reshape(()))
+            state.t[name] = int(_number(opt_section, key, path))
         else:
             raise CheckpointError(f"{path}: unknown optimizer entry {key!r}")
 
-    def run_scalar(name):
-        if name not in run_section:
-            raise CheckpointError(f"{path}: missing run field {name}")
-        return float(np.asarray(run_section[name]).reshape(()))
-
-    sched = TrainSchedule(
-        epochs=int(run_scalar("schedule.epochs")),
-        batch_size=int(run_scalar("schedule.batch_size")),
-        lr0=run_scalar("schedule.lr0"),
-        halving_until_epoch=int(run_scalar("schedule.halving_until_epoch")),
-        freeze_epochs=int(run_scalar("schedule.freeze_epochs")),
-    )
-    return CheckpointBundle(model, state, sched, int(run_scalar("seed")),
-                            int(run_scalar("next_epoch")))
+    sched = _decode_settings(TrainSchedule, run_section, "schedule.", path)
+    return CheckpointBundle(model, state, sched, int(_number(run_section, "seed", path)),
+                            int(_number(run_section, "next_epoch", path)))

@@ -12,7 +12,7 @@ normalization lands in the joint embedding space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,106 +20,37 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 POOL_MAX_MIN = "max_min"
 POOL_MEAN = "mean"
+POOLINGS = (POOL_MAX_MIN, POOL_MEAN)   # a checkpoint stores the index
 
 VISUAL_DROPOUT_ID = 1
 
 
-@dataclass
-class VisualConfig:
-    backbone_channels: int = 64                    # channels of the last backbone block
-    hidden_channels: tuple[int, ...] = (16, 32, 64)
-    adapt_channels: int = 64                       # feature maps after the 1x1 layer
-    embed_dim: int = 64
-    pooling: str = POOL_MAX_MIN
-    dropout_p: float = 0.5                         # applied to the pooled vector, train mode
-
-    def __post_init__(self):
-        dims = (self.backbone_channels, self.adapt_channels, self.embed_dim, *self.hidden_channels)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"all dimensions must be >= 1, got {dims}")
-        if self.pooling not in (POOL_MAX_MIN, POOL_MEAN):
-            raise ValueError(f"pooling must be {POOL_MAX_MIN!r} or {POOL_MEAN!r}, got {self.pooling!r}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-
-    @property
-    def downsample(self) -> int:
-        return 2 ** (len(self.hidden_channels) + 1)
-
-
-@dataclass
-class ConvBlock:
-    kernel: Tensor  # (Cout, Cin, 3, 3)
-    bias: Tensor    # (Cout,)
-
-
-@dataclass
-class BackboneParams:
-    blocks: list[ConvBlock] = field(default_factory=list)
-
-
-@dataclass
-class AdaptParams:
-    kernel: Tensor  # (adapt_channels, backbone_channels, 1, 1)
-    bias: Tensor    # (adapt_channels,)
-
-
-@dataclass
-class ProjectionParams:
-    weight: Tensor  # (embed_dim, adapt_channels)
-    bias: Tensor    # (embed_dim,)
-
-
-@dataclass
-class VisualParams:
-    backbone: BackboneParams
-    adapt: AdaptParams
-    proj: ProjectionParams
-
-
-def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_visual(cfg: VisualConfig, rng: np.random.Generator) -> VisualParams:
-    """Kernels uniform(+-1/sqrt(fan_in)), biases zero."""
-    channels = (3, *cfg.hidden_channels, cfg.backbone_channels)
-    blocks = []
-    for cin, cout in zip(channels[:-1], channels[1:]):
-        kernel = Tensor(_uniform(rng, cin * 9, (cout, cin, 3, 3)), requires_grad=True)
-        blocks.append(ConvBlock(kernel, Tensor(np.zeros(cout), requires_grad=True)))
-    adapt = AdaptParams(
-        Tensor(_uniform(rng, cfg.backbone_channels,
-                        (cfg.adapt_channels, cfg.backbone_channels, 1, 1)), requires_grad=True),
-        Tensor(np.zeros(cfg.adapt_channels), requires_grad=True),
-    )
-    proj = ProjectionParams(
-        Tensor(_uniform(rng, cfg.adapt_channels, (cfg.embed_dim, cfg.adapt_channels)),
-               requires_grad=True),
-        Tensor(np.zeros(cfg.embed_dim), requires_grad=True),
-    )
-    return VisualParams(BackboneParams(blocks), adapt, proj)
-
-
-def backbone_forward(image: Tensor, params: BackboneParams, downsample: int = 16) -> Tensor:
-    """(3, H, W) in [0, 1] -> (C, H/downsample, W/downsample), ReLU-nonnegative."""
+def backbone_forward(image: Tensor, params: dict, blocks: int = 4) -> Tensor:
+    """(3, H, W) in [0, 1] -> (C, H/2^blocks, W/2^blocks), ReLU-nonnegative, through the
+    conv blocks ``backbone.{i}.kernel``/``bias`` of ``params``."""
     if image.data.ndim != 3 or image.data.shape[0] != 3:
         raise ShapeError(f"backbone_forward expects (3,H,W), got {image.shape}")
     _, h, w = image.data.shape
+    downsample = 2 ** blocks
     if h % downsample or w % downsample:
         raise ShapeError(f"image {h}x{w}: height and width must be multiples of {downsample}")
     out = image
-    for block in params.blocks:
-        out = ad.relu(ad.add_channel_bias(ad.conv2d(out, block.kernel, stride=2, pad=1), block.bias))
+    for i in range(blocks):
+        out = ad.conv2d(out, params[f"backbone.{i}.kernel"], stride=2, pad=1)
+        out = ad.relu(ad.add_channel_bias(out, params[f"backbone.{i}.bias"]))
     return out
 
 
-def adapt(features: Tensor, params: AdaptParams) -> Tensor:
-    """Per-pixel linear remap of the channel vector (a 1x1 convolution plus bias)."""
-    return ad.add_channel_bias(ad.conv2d(features, params.kernel, stride=1, pad=0), params.bias)
+def adapt(features: Tensor, params: dict) -> Tensor:
+    """Per-pixel linear remap of the channel vector: the 1x1 convolution
+    ``adapt.kernel`` plus ``adapt.bias``."""
+    out = ad.conv2d(features, params["adapt.kernel"], stride=1, pad=0)
+    return ad.add_channel_bias(out, params["adapt.bias"])
 
 
 def pool(feature_stack: Tensor, mode: str) -> Tensor:
@@ -130,26 +61,26 @@ def pool(feature_stack: Tensor, mode: str) -> Tensor:
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
-def project(pooled: Tensor, params: ProjectionParams, dropout_p: float = 0.0,
+def project(pooled: Tensor, params: dict, dropout_p: float = 0.0,
             training: bool = False, rng_key: tuple = ()) -> Tensor:
-    """Affine map to the embedding space followed by l2 normalization.
+    """Affine map ``proj.weight``, ``proj.bias`` to the embedding space, then l2 normalization.
 
     Dropout hits the pooled vector before the affine map, train mode only.
     """
     x = ad.dropout(pooled, dropout_p, rng_key + (VISUAL_DROPOUT_ID,), training=training)
-    return ad.l2_normalize(ad.add(ad.matmul(params.weight, x), params.bias))
+    return ad.l2_normalize(ad.add(ad.matmul(params["proj.weight"], x), params["proj.bias"]))
 
 
-def encode_image(image: Tensor, params: VisualParams, cfg: VisualConfig,
+def encode_image(image: Tensor, params: dict, cfg: ModelConfig,
                  training: bool = False, rng_key: tuple = ()) -> tuple[Tensor, Tensor]:
     """Full visual pipeline; returns (embedding, pre-pooling feature stack).
 
     The feature stack is what the localization module consumes.
     """
-    features = backbone_forward(image, params.backbone, cfg.downsample)
-    stack = adapt(features, params.adapt)
+    features = backbone_forward(image, params, len(cfg.hidden_channels) + 1)
+    stack = adapt(features, params)
     pooled = pool(stack, cfg.pooling)
-    embedding = project(pooled, params.proj, cfg.dropout_p, training, rng_key)
+    embedding = project(pooled, params, cfg.visual_dropout, training, rng_key)
     return embedding, stack
 
 

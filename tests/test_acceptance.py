@@ -22,7 +22,7 @@ from semvis.model import Model, ModelConfig
 from semvis.text import Vocab, sru_cell
 from semvis.train import (AdamState, TrainSchedule, effective_lr, load_checkpoint,
                           save_checkpoint, train, trainable_set)
-from semvis.visual import ProjectionParams, project
+from semvis.visual import project
 from test_loss import embeddings_with_similarities, random_unit_batch, unit
 
 
@@ -70,11 +70,9 @@ def _check_l2_normalize(seed):
 
 def _check_sru_cell(seed):
     rng = np.random.default_rng(seed)
-    from semvis.text import SruLayer
-    layer = SruLayer(Tensor(rng.normal(scale=0.5, size=(12, 3)), requires_grad=True),
-                     Tensor(rng.normal(scale=0.5, size=4), requires_grad=True),
-                     Tensor(rng.normal(scale=0.5, size=4), requires_grad=True),
-                     Tensor(rng.normal(scale=0.5, size=(4, 3)), requires_grad=True))
+    layer = {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
+             for name, shape in (("sru.0.weight", (12, 3)), ("sru.0.bias_f", 4),
+                                 ("sru.0.bias_r", 4), ("sru.0.proj", (4, 3)))}
     x = Tensor(rng.normal(size=3), requires_grad=True)
     c_prev = Tensor(rng.normal(size=4), requires_grad=True)
     w1, w2 = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
@@ -83,17 +81,17 @@ def _check_sru_cell(seed):
         h, c = sru_cell(x, c_prev, layer)
         return ad.add(ad.dot(h, w1), ad.dot(c, w2))
 
-    return ad.grad_check(f, [x, c_prev, layer.weight, layer.bias_f, layer.bias_r, layer.proj])
+    return ad.grad_check(f, [x, c_prev, *layer.values()])
 
 
 def _check_project(seed):
     rng = np.random.default_rng(seed)
-    params = ProjectionParams(Tensor(rng.normal(size=(4, 6)), requires_grad=True),
-                              Tensor(rng.normal(size=4), requires_grad=True))
+    params = {"proj.weight": Tensor(rng.normal(size=(4, 6)), requires_grad=True),
+              "proj.bias": Tensor(rng.normal(size=4), requires_grad=True)}
     h = Tensor(rng.normal(size=6) + 2.0, requires_grad=True)
     w = Tensor(rng.normal(size=4))
     return ad.grad_check(lambda: ad.dot(project(h, params), w),
-                         [h, params.weight, params.bias])
+                         [h, *params.values()])
 
 
 def _check_triplet(seed):
@@ -164,12 +162,13 @@ def _reference_micro_batch(seed=7):
         relu_margin, pool_margin = np.inf, np.inf
         for image in images:
             out = vis.image_to_tensor(np.asarray(image))
-            for block in model.visual.backbone.blocks:
-                pre = ad.add_channel_bias(ad.conv2d(out, block.kernel, stride=2, pad=1),
-                                          block.bias)
+            for i in range(len(model.cfg.hidden_channels) + 1):
+                pre = ad.add_channel_bias(ad.conv2d(out, model.params[f"backbone.{i}.kernel"],
+                                                    stride=2, pad=1),
+                                          model.params[f"backbone.{i}.bias"])
                 relu_margin = min(relu_margin, np.abs(pre.data).min())
                 out = ad.relu(pre)
-            stack = vis.adapt(out, model.visual.adapt)
+            stack = vis.adapt(out, model.params)
             cells = np.sort(stack.data.reshape(stack.data.shape[0], -1), axis=1)
             pool_margin = min(pool_margin, (cells[:, -1] - cells[:, -2]).min(),
                               (cells[:, 1] - cells[:, 0]).min())

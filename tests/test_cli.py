@@ -1,17 +1,22 @@
 """CLI subcommands: determinism, exit codes, JSON schemas."""
 
 import filecmp
+import inspect
+import io
 import json
 import os
-from dataclasses import asdict, fields, replace
+import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from semvis.cli import DEFAULTS, main
+import semvis
+from semvis.cli import main
 from semvis.data import read_dataset
+from semvis.errors import CheckpointError
 from semvis.model import Model, ModelConfig
-from semvis.train import TrainSchedule, load_checkpoint
+from semvis.train import TrainSchedule, _Reader, _write_section, load_checkpoint
 
 TINY_FLAGS = ["--backbone-channels", "8", "--hidden-channels", "4,4,4",
               "--adapt-channels", "8", "--embed-dim", "16", "--word-dim", "8",
@@ -93,11 +98,55 @@ class TestTrain:
         for name, tensor in fresh.params.items():
             np.testing.assert_array_equal(tensor.data, bundle.model.params[name].data)
 
-    def test_flagless_schedule_is_the_library_default(self, workspace):
-        assert {f.name: DEFAULTS[f.name] for f in fields(TrainSchedule)} == asdict(TrainSchedule())
+    def test_flagless_schedule_is_the_library_default(self, tmp_path, workspace):
+        _, data, init_ckpt, _ = workspace
+        flagless = tmp_path / "flagless.ckpt"
+        assert main(["train", "--data", str(data), "--out", str(flagless), "--epochs", "0"]) == 0
+        bundle = load_checkpoint(flagless)
+        assert bundle.model.cfg == ModelConfig()
+        assert bundle.schedule == replace(TrainSchedule(), epochs=0)
         # The init checkpoint was trained with only --epochs among the schedule flags.
-        _, _, init_ckpt, _ = workspace
         assert load_checkpoint(init_ckpt).schedule == replace(TrainSchedule(), epochs=0)
+
+    def test_every_config_key_reaches_the_checkpoint(self, tmp_path, capsys, workspace):
+        _, data, _, _ = workspace
+        model_values = dict(backbone_channels=8, hidden_channels=[4, 4, 4], adapt_channels=8,
+                            embed_dim=16, word_dim=8, sru_layers=1, pooling="mean",
+                            visual_dropout=0.3, sru_dropout=0.1, margin=0.5, mining="hard",
+                            top_k=3)
+        sched_values = dict(epochs=0, batch_size=4, lr0=0.002, halving_until_epoch=3,
+                            freeze_epochs=1)
+        values = {**model_values, **sched_values, "seed": 7}
+        assert set(values) == ({f.name for f in fields(ModelConfig)}
+                               | {f.name for f in fields(TrainSchedule)} | {"seed"})
+        cfg_path = tmp_path / "all.json"
+        cfg_path.write_text(json.dumps(values))
+        from_file = tmp_path / "file.ckpt"
+        assert main(["train", "--data", str(data), "--out", str(from_file),
+                     "--config", str(cfg_path)]) == 0
+        bundle = load_checkpoint(from_file)
+        want_cfg = ModelConfig(**{**model_values, "hidden_channels": (4, 4, 4)})
+        assert bundle.model.cfg == want_cfg and bundle.schedule == TrainSchedule(**sched_values)
+        assert bundle.seed == 7
+        for f in fields(ModelConfig):
+            assert getattr(want_cfg, f.name) != f.default, f.name
+        for f in fields(TrainSchedule):
+            assert sched_values[f.name] != f.default, f.name
+
+        # The same settings given as flags write the same bytes.
+        flags = []
+        for key, value in values.items():
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flags += ["--" + key.replace("_", "-"), text]
+        from_flags = tmp_path / "flags.ckpt"
+        assert main(["train", "--data", str(data), "--out", str(from_flags)] + flags) == 0
+        assert from_flags.read_bytes() == from_file.read_bytes()
+
+        cfg_path.write_text(json.dumps({"crop_augment": True}))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
+                  "--config", str(cfg_path)])
+        assert exc.value.code == 2
 
     def test_training_decreases_loss_in_log(self, workspace):
         root, _, _, trained_ckpt = workspace
@@ -181,6 +230,15 @@ class TestEvalCommands:
         assert code == 0
         json.loads(out)
 
+    @pytest.mark.parametrize("folds", ["0", "9"])
+    def test_folds_outside_one_to_image_count_exit_2(self, capsys, workspace, folds):
+        _, data, _, trained_ckpt = workspace  # 8 scenes
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-retrieval", "--ckpt", str(trained_ckpt), "--data", str(data),
+                  "--folds", folds])
+        assert exc.value.code == 2
+        assert "--folds" in capsys.readouterr().err
+
     def test_pointing_report_schema_and_k_override(self, capsys, workspace):
         _, data, _, trained_ckpt = workspace
         code, out, _ = run(capsys, "eval-pointing", "--ckpt", str(trained_ckpt),
@@ -227,7 +285,83 @@ class TestLocalize:
         json.loads(out)
 
 
+def _with_sections(blob, edit):
+    """The checkpoint ``blob`` rewritten after ``edit(model, optimizer, run)`` changes
+    its three sections in place."""
+    reader = _Reader(blob, "ckpt")
+    reader.take(8)
+    sections = [reader.section() for _ in range(3)]
+    edit(*sections)
+    out = io.BytesIO()
+    out.write(blob[:8])
+    for section in sections:
+        _write_section(out, section)
+    return out.getvalue()
+
+
+def _overflowing_dims(blob):
+    # One model entry whose dims multiply to 2**64: np.prod would wrap to 0.
+    name = b"proj.weight"
+    return (blob[:8] + struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
+            + struct.pack("<I", 2) + struct.pack("<QQ", 2 ** 32, 2 ** 32))
+
+
+MALFORMED = {
+    "pooling code 5": (lambda b: _with_sections(
+        b, lambda m, o, r: m.update({"config.pooling": np.float64(5.0)})), "config.pooling"),
+    "no hidden_channels": (lambda b: _with_sections(
+        b, lambda m, o, r: m.pop("config.hidden_channels")), "config.hidden_channels"),
+    "embed_dim 0": (lambda b: _with_sections(
+        b, lambda m, o, r: m.update({"config.embed_dim": np.float64(0.0)})), "embed_dim"),
+    "vector pooling": (lambda b: _with_sections(
+        b, lambda m, o, r: m.update({"config.pooling": np.zeros(2)})), "config.pooling"),
+    "non-UTF-8 token": (lambda b: _with_sections(
+        b, lambda m, o, r: m.update({"vocab.000001": np.array([255.0, 254.0])})),
+        "vocab.000001"),
+    "batch_size 0": (lambda b: _with_sections(
+        b, lambda m, o, r: r.update({"schedule.batch_size": np.float64(0.0)})), "batch_size"),
+    "overflowing dims": (_overflowing_dims, "truncated"),
+    "non-UTF-8 name": (lambda b: b.replace(b"config.pooling", b"config.pool\xffng"),
+                       "config.pooling"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_entry_is_a_checkpoint_error(tmp_path, capsys, workspace, case):
+    _, data, init_ckpt, _ = workspace
+    corrupt, entry = MALFORMED[case]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(init_ckpt.read_bytes()))
+    with pytest.raises(CheckpointError, match=entry):
+        load_checkpoint(bad)
+    code, _, err = run(capsys, "localize", "--ckpt", str(bad),
+                       "--image", str(data / "images" / "000000.ppm"),
+                       "--text", "red", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("bad", [dict(pooling="avg"), dict(mining="soft"),
+                                     dict(embed_dim=0), dict(hidden_channels=(16, 0, 64)),
+                                     dict(sru_layers=0), dict(visual_dropout=1.0),
+                                     dict(sru_dropout=1.5), dict(sru_dropout=-0.1)])
+    def test_bad_values_raise_at_construction(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ModelConfig(**bad)
+
+    def test_unknown_pooling_flag_exit_2(self, tmp_path, workspace):
+        _, data, _, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
+                  "--pooling", "avg"])
+        assert exc.value.code == 2
+
+
 class TestTopLevel:
+    def test_train_module_name_is_the_module(self):
+        assert inspect.ismodule(semvis.train)
+
     def test_unknown_command_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

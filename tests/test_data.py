@@ -8,8 +8,7 @@ import pytest
 
 from semvis.data import (COLORS, SHAPES, Scene, SceneConfig, build_vocab,
                          caption_scene, generate_dataset, generate_scene,
-                         random_crop_resize, read_dataset, scale_and_crop,
-                         write_dataset)
+                         read_dataset, write_dataset)
 from semvis.errors import GenerationError, ManifestError
 
 
@@ -156,21 +155,3 @@ class TestDatasetIO:
         images_a = {scene.image.tobytes() for scene in a.scenes}
         images_b = {scene.image.tobytes() for scene in b.scenes}
         assert not images_a & images_b
-
-
-class TestResizeHelpers:
-    def test_scale_and_crop_is_identity_at_matching_size(self):
-        image = generate_scene(10).image
-        np.testing.assert_array_equal(scale_and_crop(image, 64), image)
-
-    def test_scale_and_crop_output_shape(self):
-        image = generate_scene(10).image
-        out = scale_and_crop(image, 32)
-        assert out.shape == (3, 32, 32) and out.dtype == np.uint8
-
-    def test_random_crop_resize_deterministic(self):
-        image = generate_scene(12).image
-        a = random_crop_resize(image, np.random.default_rng(3), 64)
-        b = random_crop_resize(image, np.random.default_rng(3), 64)
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (3, 64, 64) and a.dtype == np.uint8

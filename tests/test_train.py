@@ -1,5 +1,6 @@
 """Optimizer, schedule, epoch loop, checkpoint round-trips."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from semvis.autodiff import Tensor
 from semvis.data import generate_dataset
 from semvis.errors import CheckpointError, ContractError
+from conftest import MICRO_CONFIG
 from semvis.model import Model, ModelConfig
+from semvis.text import Vocab
 from semvis.train import (AdamState, TrainSchedule, adam_step, effective_lr,
                           load_checkpoint, save_checkpoint, train, train_epoch,
                           trainable_set)
@@ -145,7 +148,28 @@ class TestTrainEpoch:
         assert set(lines[0]) == {"epoch", "loss", "lr", "trainable"}
 
 
+# Digests of initialized models saved with AdamState(), TrainSchedule() and
+# next_epoch=0, recorded before the parameters were addressed only by name.
+GOLDEN_CHECKPOINTS = {
+    "micro": (6654, "7fe23c210cf4dfc31007f2e1237547876d50845f25a70dcdf9aefcabb58b363f"),
+    "default": (759328, "6b5621d1b7f0f477556f8ddc5c10f9f35b6adefe764dc1eda82941083feacb33"),
+}
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CHECKPOINTS))
+    def test_golden_checkpoint_bytes(self, tmp_path, case):
+        if case == "micro":
+            vocab = Vocab(["red", "circle", "a", "blue", "square", "the", "is"])
+            model, seed = Model.initialize(ModelConfig(**MICRO_CONFIG), vocab, seed=5), 5
+        else:
+            vocab = generate_dataset(8, seed=3).vocab
+            model, seed = Model.initialize(ModelConfig(), vocab, seed=1), 1
+        path = tmp_path / "golden.ckpt"
+        save_checkpoint(path, model, AdamState(), TrainSchedule(), seed=seed, next_epoch=0)
+        blob = path.read_bytes()
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == GOLDEN_CHECKPOINTS[case]
+
     def test_save_load_save_is_byte_identical(self, tmp_path):
         model, dataset = tiny_setup()
         sched = TrainSchedule(epochs=1, batch_size=4)

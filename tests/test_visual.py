@@ -7,50 +7,52 @@ from conftest import naive_conv2d
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import ShapeError
-from semvis.visual import (POOL_MAX_MIN, POOL_MEAN, AdaptParams, ProjectionParams,
-                           VisualConfig, adapt, backbone_forward, encode_image,
-                           image_to_tensor, init_visual, pool, project)
+from semvis.model import ModelConfig, init_params, param_shapes
+from semvis.visual import (POOL_MAX_MIN, POOL_MEAN, adapt, backbone_forward, encode_image,
+                           image_to_tensor, pool, project)
 
 RNG = np.random.default_rng(123)
 
 
-def make_params(cfg=VisualConfig(), seed=0):
-    return init_visual(cfg, np.random.default_rng(seed))
+def make_params(cfg=ModelConfig(), seed=0):
+    # The visual tensors come first in the table, so they are drawn as they
+    # would be alone; the text tensors drawn after them go unused.
+    return init_params(param_shapes(cfg, 1), np.random.default_rng(seed))
 
 
 class TestBackbone:
     def test_zero_image_zero_biases_gives_zero(self):
         params = make_params()
-        out = backbone_forward(Tensor(np.zeros((3, 32, 32))), params.backbone)
+        out = backbone_forward(Tensor(np.zeros((3, 32, 32))), params)
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
     def test_minimal_image_collapses_to_1x1(self):
         params = make_params()
-        out = backbone_forward(Tensor(RNG.random((3, 16, 16))), params.backbone)
+        out = backbone_forward(Tensor(RNG.random((3, 16, 16))), params)
         assert out.shape == (64, 1, 1)
 
     def test_output_is_relu_nonnegative(self):
         params = make_params()
-        out = backbone_forward(Tensor(RNG.random((3, 32, 32))), params.backbone)
+        out = backbone_forward(Tensor(RNG.random((3, 32, 32))), params)
         assert (out.data >= 0).all()
 
     def test_indivisible_size_error_names_the_multiple(self):
         params = make_params()
         with pytest.raises(ShapeError, match="16"):
-            backbone_forward(Tensor(np.zeros((3, 60, 64))), params.backbone)
+            backbone_forward(Tensor(np.zeros((3, 60, 64))), params)
 
     def test_matches_naive_convolution_chain(self):
         """Independent loop-based recomputation of the whole stack, one cell compared
         exactly and then the full map."""
         params = make_params(seed=3)
         image = RNG.random((3, 64, 64))
-        got = backbone_forward(Tensor(image), params.backbone).data
+        got = backbone_forward(Tensor(image), params).data
         assert got.shape == (64, 4, 4)
 
         ref = image
-        for block in params.backbone.blocks:
-            ref = naive_conv2d(ref, block.kernel.data, stride=2, pad=1)
-            ref = np.maximum(ref + block.bias.data[:, None, None], 0.0)
+        for i in range(4):
+            ref = naive_conv2d(ref, params[f"backbone.{i}.kernel"].data, stride=2, pad=1)
+            ref = np.maximum(ref + params[f"backbone.{i}.bias"].data[:, None, None], 0.0)
         assert got[17, 2, 1] == pytest.approx(ref[17, 2, 1], rel=1e-12)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
 
@@ -58,13 +60,14 @@ class TestBackbone:
 class TestAdapt:
     def test_identity_kernel_passes_through(self):
         feats = Tensor(RNG.random((4, 3, 3)))
-        params = AdaptParams(Tensor(np.eye(4).reshape(4, 4, 1, 1)), Tensor(np.zeros(4)))
+        params = {"adapt.kernel": Tensor(np.eye(4).reshape(4, 4, 1, 1)),
+                  "adapt.bias": Tensor(np.zeros(4))}
         np.testing.assert_array_equal(adapt(feats, params).data, feats.data)
 
     def test_zero_kernel_yields_bias_everywhere(self):
         feats = Tensor(RNG.random((4, 3, 3)))
         beta = np.array([1.0, -2.0, 0.5])
-        params = AdaptParams(Tensor(np.zeros((3, 4, 1, 1))), Tensor(beta))
+        params = {"adapt.kernel": Tensor(np.zeros((3, 4, 1, 1))), "adapt.bias": Tensor(beta)}
         out = adapt(feats, params).data
         np.testing.assert_array_equal(out, np.broadcast_to(beta[:, None, None], (3, 3, 3)))
 
@@ -72,7 +75,7 @@ class TestAdapt:
         feats = RNG.random((5, 2, 3))
         kernel = RNG.normal(size=(4, 5, 1, 1))
         bias = RNG.normal(size=4)
-        out = adapt(Tensor(feats), AdaptParams(Tensor(kernel), Tensor(bias))).data
+        out = adapt(Tensor(feats), {"adapt.kernel": Tensor(kernel), "adapt.bias": Tensor(bias)}).data
         want = (kernel[:, :, 0, 0] @ feats.reshape(5, -1) + bias[:, None]).reshape(4, 2, 3)
         np.testing.assert_allclose(out, want, rtol=1e-13)
 
@@ -100,23 +103,24 @@ class TestProject:
     def test_identity_matrix_reduces_to_normalization(self):
         h = np.zeros(5)
         h[0], h[1] = 3.0, 4.0
-        params = ProjectionParams(Tensor(np.eye(5)), Tensor(np.zeros(5)))
+        params = {"proj.weight": Tensor(np.eye(5)), "proj.bias": Tensor(np.zeros(5))}
         out = project(Tensor(h), params).data
         np.testing.assert_allclose(out, [0.6, 0.8, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_zero_matrix_returns_normalized_bias(self):
         b = np.array([1.0, 2.0, 2.0])
-        params = ProjectionParams(Tensor(np.zeros((3, 5))), Tensor(b))
+        params = {"proj.weight": Tensor(np.zeros((3, 5))), "proj.bias": Tensor(b)}
         out = project(Tensor(RNG.random(5)), params).data
         np.testing.assert_allclose(out, b / 3.0, rtol=1e-15)
 
     def test_output_is_unit_norm(self):
-        params = ProjectionParams(Tensor(RNG.normal(size=(6, 5))), Tensor(RNG.normal(size=6)))
+        params = {"proj.weight": Tensor(RNG.normal(size=(6, 5))),
+                  "proj.bias": Tensor(RNG.normal(size=6))}
         out = project(Tensor(RNG.random(5)), params).data
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
     def test_train_mode_dropout_changes_result(self):
-        params = ProjectionParams(Tensor(RNG.normal(size=(6, 32))), Tensor(np.zeros(6)))
+        params = {"proj.weight": Tensor(RNG.normal(size=(6, 32))), "proj.bias": Tensor(np.zeros(6))}
         h = Tensor(RNG.random(32) + 0.5)
         eval_out = project(h, params, dropout_p=0.5, training=False).data
         train_out = project(h, params, dropout_p=0.5, training=True, rng_key=(1, 2)).data
@@ -125,18 +129,18 @@ class TestProject:
 
 class TestEncodeImage:
     def test_composition_equals_manual_chain(self):
-        cfg = VisualConfig()
+        cfg = ModelConfig()
         params = make_params(cfg, seed=9)
         image = Tensor(RNG.random((3, 64, 64)))
         x, stack = encode_image(image, params, cfg)
-        feats = backbone_forward(image, params.backbone, cfg.downsample)
-        stack2 = adapt(feats, params.adapt)
-        x2 = project(pool(stack2, cfg.pooling), params.proj)
+        feats = backbone_forward(image, params, len(cfg.hidden_channels) + 1)
+        stack2 = adapt(feats, params)
+        x2 = project(pool(stack2, cfg.pooling), params)
         np.testing.assert_array_equal(x.data, x2.data)
         np.testing.assert_array_equal(stack.data, stack2.data)
 
     def test_deterministic_in_eval_mode(self):
-        cfg = VisualConfig()
+        cfg = ModelConfig()
         params = make_params(cfg, seed=2)
         image = Tensor(RNG.random((3, 32, 32)))
         a, _ = encode_image(image, params, cfg)
@@ -144,14 +148,14 @@ class TestEncodeImage:
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_shape_contract_at_defaults(self):
-        cfg = VisualConfig()
+        cfg = ModelConfig()
         params = make_params(cfg)
         x, stack = encode_image(Tensor(RNG.random((3, 64, 64))), params, cfg)
         assert x.shape == (64,) and stack.shape == (64, 4, 4)
 
     @pytest.mark.parametrize("side", [16, 32, 80])
     def test_variable_input_sizes(self, side):
-        cfg = VisualConfig()
+        cfg = ModelConfig()
         params = make_params(cfg)
         x, stack = encode_image(Tensor(RNG.random((3, side, side))), params, cfg)
         assert x.shape == (64,)
@@ -159,21 +163,21 @@ class TestEncodeImage:
         assert abs(np.linalg.norm(x.data) - 1.0) <= 1e-12
 
     def test_different_images_embed_differently(self):
-        cfg = VisualConfig()
+        cfg = ModelConfig()
         params = make_params(cfg)
         a, _ = encode_image(Tensor(RNG.random((3, 32, 32))), params, cfg)
         b, _ = encode_image(Tensor(RNG.random((3, 32, 32))), params, cfg)
         assert not np.allclose(a.data, b.data)
 
     def test_gradient_reaches_every_parameter(self):
-        cfg = VisualConfig(backbone_channels=8, hidden_channels=(4, 4, 4), adapt_channels=8,
-                           embed_dim=8)
+        cfg = ModelConfig(backbone_channels=8, hidden_channels=(4, 4, 4), adapt_channels=8,
+                          embed_dim=8)
         params = make_params(cfg, seed=1)
         image = Tensor(np.random.default_rng(0).random((3, 16, 16)))
         x, _ = encode_image(image, params, cfg)
         ad.dot(x, Tensor(np.random.default_rng(1).normal(size=8))).backward()
-        named = [params.proj.weight, params.proj.bias, params.adapt.kernel, params.adapt.bias]
-        named += [t for b in params.backbone.blocks for t in (b.kernel, b.bias)]
+        named = [params[n] for n in ("proj.weight", "proj.bias", "adapt.kernel", "adapt.bias")]
+        named += [params[f"backbone.{i}.{k}"] for i in range(4) for k in ("kernel", "bias")]
         for tensor in named:
             assert tensor.grad is not None and np.any(tensor.grad != 0.0)
 
