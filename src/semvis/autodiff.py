@@ -83,8 +83,13 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every tracked ancestor.
 
-        Raises GraphError for non-scalar tensors and for a second call on
-        the same tensor (rebuild the graph instead of replaying it).
+        Only leaves keep their gradients: each interior node drops its
+        gradient and its closure (with the buffers the closure holds, such as
+        conv2d's im2col matrix) once it has run, so a graph can be
+        back-propagated only once.  Raises GraphError for non-scalar tensors,
+        for a second call on the same tensor, and for a graph that shares a
+        node with one already back-propagated (rebuild it instead of
+        replaying it).
         """
         if self.data.shape != ():
             raise GraphError(f"backward() requires a scalar, got shape {self.shape}")
@@ -94,10 +99,14 @@ class Tensor:
         if not self.requires_grad:
             return
         order = _toposort(self)
+        if any(node._parents and node._backward is None for node in order):
+            raise GraphError("backward() already ran through part of this graph; rebuild it")
         self.grad = np.ones((), dtype=np.float64)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._parents:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = None
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -488,7 +497,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     if h + 2 * pad < kh or w + 2 * pad < kw or h_out < 1 or w_out < 1:
         raise ShapeError(f"conv2d: kernel {kernel.shape} exceeds padded input {x.shape} (pad={pad})")
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    if pad:
+        xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+        xp[:, pad:pad + h, pad:pad + w] = x.data
+    else:
+        xp = x.data
     # im2col: gather one strided view per kernel offset.
     cols = np.empty((cin, kh, kw, h_out, w_out), dtype=np.float64)
     for i in range(kh):

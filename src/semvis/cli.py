@@ -21,6 +21,7 @@ unknown config keys are rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -85,11 +86,14 @@ def _parse_objects(spec: str) -> tuple[int, int]:
 def _encode_corpus(model: Model, dataset: Dataset):
     """Eval-mode embeddings of every image and caption; owners map captions to images."""
     images, captions, owners = [], [], []
+    text_cache: dict[str, np.ndarray] = {}   # templated captions repeat across scenes
     for i, scene in enumerate(dataset.scenes):
         x, _ = model.encode_image(scene.image, training=False)
         images.append(x.data)
         for cap in scene.captions:
-            captions.append(model.encode_text(cap, training=False).data)
+            if cap not in text_cache:
+                text_cache[cap] = model.encode_text(cap, training=False).data
+            captions.append(text_cache[cap])
             owners.append(i)
     return np.stack(images), np.stack(captions), owners
 
@@ -214,6 +218,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help=f"(default {SEED_DEFAULT})")
 
 
+@functools.cache   # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semvis",
                                      description="joint image/text embedding at desk scale")

@@ -107,6 +107,7 @@ def eval_pointing(model, regions, cfg: LocalizationConfig) -> PointingReport:
         raise ContractError("pointing game needs at least one region")
     hits = []
     stack_cache: dict[int, tuple] = {}
+    text_cache: dict[str, Tensor] = {}   # eval mode: a phrase always embeds the same
     for image, phrase, bbox in regions:
         key = id(image)
         if key not in stack_cache:
@@ -114,7 +115,9 @@ def eval_pointing(model, regions, cfg: LocalizationConfig) -> PointingReport:
             maps = activation_maps(stack, model.params["proj.weight"])
             stack_cache[key] = (maps, image.shape[1:])
         maps, (height, width) = stack_cache[key]
-        embedding = model.encode_text(phrase, training=False)
+        if phrase not in text_cache:
+            text_cache[phrase] = model.encode_text(phrase, training=False)
+        embedding = text_cache[phrase]
         hm = heatmap(maps, embedding, cfg, (height, width), height // maps.shape[1])
         px, py = point(hm)
         hits.append(_box_contains(bbox, px, py))

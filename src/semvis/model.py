@@ -71,11 +71,20 @@ def setting_type(f: Field) -> type:
 
 def coerce_setting(f: Field, value):
     """``value`` (from JSON, a flag or a checkpoint) as setting ``f`` holds it: a tuple
-    holds ints, and an optional int reads None or -1 as None."""
+    holds ints, and an optional int reads None or -1 as None.  A fractional value for
+    an int or a tuple entry is a ValueError, not a truncation."""
     if f.default is None and value in (None, -1):
         return None
     kind = setting_type(f)
-    return tuple(int(c) for c in value) if kind is tuple else kind(value)
+
+    def whole(v):
+        if isinstance(v, float) and not v.is_integer():
+            raise ValueError(f"{f.name} must be a whole number, got {v}")
+        return int(v)
+
+    if kind is tuple:
+        return tuple(whole(c) for c in value)
+    return whole(value) if kind is int else kind(value)
 
 
 def param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:

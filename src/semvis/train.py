@@ -1,7 +1,10 @@
 """Training loop: Adam, staged unfreezing, halving learning rate, checkpoints.
 
 The text encoder, the word table and the final projection train from epoch
-zero; the rest of the image pipeline joins after ``freeze_epochs``.  The
+zero; the rest of the image pipeline joins after ``freeze_epochs``.  A frozen
+tensor is not tracked during the epoch (``train_epoch`` clears its
+``requires_grad`` and restores it afterwards), so the graph records no op
+whose inputs are all frozen and back-propagation stops at ``proj.*``.  The
 learning rate starts at ``lr0`` and halves every epoch until
 ``halving_until_epoch``, then stays fixed.  All randomness (shuffling,
 caption sampling, dropout) is derived from (seed, epoch) keys, so a run is
@@ -135,41 +138,52 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
     lr = effective_lr(epoch, sched)
     names = trainable_set(epoch, sched, model.params)
 
-    losses = []
-    for step, start in enumerate(range(0, len(order), sched.batch_size)):
-        idxs = order[start:start + sched.batch_size]
-        if len(idxs) < 2 or len(set(int(i) for i in idxs)) < 2:
-            continue
-        images, captions, ids = [], [], []
-        taken: set[str] = set()
-        for j, scene_idx in enumerate(idxs):
-            scene = dataset.scenes[int(scene_idx)]
-            # Template captions repeat across scenes ("a red circle" belongs to
-            # every scene with a red circle), and a duplicate owned by another
-            # image is an unsatisfiable hard negative whose hinge is pinned at
-            # the margin.  So per appearance we sample among the scene's most
-            # descriptive captions (the conjunctions, when present) and redraw
-            # on a string collision within the batch.
-            pool = _training_captions(scene)
-            for _ in range(8):
-                cap = pool[int(rng.integers(0, len(pool)))]
-                if cap not in taken:
-                    break
-            taken.add(cap)
-            key = (seed, epoch, step, j)
-            x, _ = model.encode_image(scene.image, training=True, rng_key=key)
-            v = model.encode_text(cap, training=True, rng_key=key)
-            images.append(x)
-            captions.append(v)
-            ids.append(scene.scene_id)
-        loss = batch_loss(Batch(images, captions, ids), loss_cfg)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise ArithmeticError(f"non-finite loss {value} in batch {step} of epoch {epoch}")
-        loss.backward()
-        adam_step(model.params, state, lr, names)
-        zero_grads(model.params.values())
-        losses.append(value)
+    # A frozen tensor leaves the graph for the epoch: no node is built for an op
+    # whose inputs are all frozen, and backward stops where trainable tensors end.
+    trainable = set(names)
+    frozen = [p for n, p in model.params.items() if n not in trainable and p.requires_grad]
+    for p in frozen:
+        p.requires_grad = False
+    try:
+        losses = []
+        for step, start in enumerate(range(0, len(order), sched.batch_size)):
+            idxs = order[start:start + sched.batch_size]
+            if len(idxs) < 2 or len(set(int(i) for i in idxs)) < 2:
+                continue
+            images, captions, ids = [], [], []
+            taken: set[str] = set()
+            for j, scene_idx in enumerate(idxs):
+                scene = dataset.scenes[int(scene_idx)]
+                # Template captions repeat across scenes ("a red circle" belongs to
+                # every scene with a red circle), and a duplicate owned by another
+                # image is an unsatisfiable hard negative whose hinge is pinned at
+                # the margin.  So per appearance we sample among the scene's most
+                # descriptive captions (the conjunctions, when present) and redraw
+                # on a string collision within the batch.
+                pool = _training_captions(scene)
+                for _ in range(8):
+                    cap = pool[int(rng.integers(0, len(pool)))]
+                    if cap not in taken:
+                        break
+                taken.add(cap)
+                key = (seed, epoch, step, j)
+                x, _ = model.encode_image(scene.image, training=True, rng_key=key)
+                v = model.encode_text(cap, training=True, rng_key=key)
+                images.append(x)
+                captions.append(v)
+                ids.append(scene.scene_id)
+            loss = batch_loss(Batch(images, captions, ids), loss_cfg)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise ArithmeticError(
+                    f"non-finite loss {value} in batch {step} of epoch {epoch}")
+            loss.backward()
+            adam_step(model.params, state, lr, names)
+            zero_grads(model.params.values())
+            losses.append(value)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
     if not losses:
         raise ContractError("dataset too small to form a single batch of >= 2 scenes")
     return float(np.mean(losses))
@@ -363,6 +377,9 @@ def load_checkpoint(path) -> CheckpointBundle:
         kind, _, name = key.partition(".")[2].partition(".")
         if name not in model.params:
             raise CheckpointError(f"{path}: optimizer state for unknown tensor {name!r}")
+        if kind in ("m", "v") and arr.shape != model.params[name].shape:
+            raise CheckpointError(f"{path}: malformed checkpoint entry {key} (shape {arr.shape},"
+                                  f" expected {model.params[name].shape})")
         if kind == "m":
             state.m[name] = arr.copy()
         elif kind == "v":
@@ -371,6 +388,10 @@ def load_checkpoint(path) -> CheckpointBundle:
             state.t[name] = int(_number(opt_section, key, path))
         else:
             raise CheckpointError(f"{path}: unknown optimizer entry {key!r}")
+    for name in sorted(state.m.keys() | state.v.keys() | state.t.keys()):
+        for kind, table in (("m", state.m), ("v", state.v), ("t", state.t)):
+            if name not in table:   # adam_step needs all three once a tensor has any
+                raise CheckpointError(f"{path}: missing checkpoint entry adam.{kind}.{name}")
 
     sched = _decode_settings(TrainSchedule, run_section, "schedule.", path)
     return CheckpointBundle(model, state, sched, int(_number(run_section, "seed", path)),

@@ -59,6 +59,22 @@ def naive_conv2d(x, kernel, stride, pad):
     return out
 
 
+def np_pad_conv2d(x, kernel, stride, pad):
+    """im2col over an ``np.pad``-ed copy, in the same arithmetic order as conv2d,
+    so the two must agree bit for bit."""
+    cin, h, w = x.shape
+    cout, _, kh, kw = kernel.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    h_out = (h + 2 * pad - kh) // stride + 1
+    w_out = (w + 2 * pad - kw) // stride + 1
+    cols = np.empty((cin, kh, kw, h_out, w_out))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+    out = kernel.reshape(cout, -1) @ cols.reshape(cin * kh * kw, h_out * w_out)
+    return out.reshape(cout, h_out, w_out)
+
+
 class TestConv2d:
     def test_1x1_kernel_doubles(self):
         x = randt(0, 1, 3, 3)
@@ -77,6 +93,15 @@ class TestConv2d:
             k = rng.normal(size=(3, 2, 3, 3))
             got = ad.conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad).data
             np.testing.assert_allclose(got, naive_conv2d(x, k, stride, pad), rtol=1e-13)
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_equals_np_pad_oracle_exactly(self, pad, stride):
+        rng = np.random.default_rng(10 * pad + stride)
+        x = rng.normal(size=(3, 8, 7))
+        k = rng.normal(size=(4, 3, 3, 3))
+        got = ad.conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad).data
+        np.testing.assert_array_equal(got, np_pad_conv2d(x, k, stride, pad))
 
     def test_zero_size_output_rejected(self):
         with pytest.raises(ShapeError):
@@ -218,6 +243,19 @@ class TestBackward:
         out.backward()
         with pytest.raises(GraphError):
             out.backward()
+
+    def test_replay_through_a_shared_node_rejected(self):
+        # Without the check, the second backward would re-send y's stale
+        # gradient and leave x.grad == 2x instead of 0.
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = ad.mul(x, x)
+        ad.reduce_sum(y).backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert y.grad is None   # interior gradients are released after use
+        x.grad = None
+        with pytest.raises(GraphError):
+            ad.reduce_sum(ad.scale(y, 0.0)).backward()
+        assert x.grad is None
 
     def test_gradients_accumulate_across_graphs(self):
         x = randt(16, 4)

@@ -323,6 +323,15 @@ MALFORMED = {
     "overflowing dims": (_overflowing_dims, "truncated"),
     "non-UTF-8 name": (lambda b: b.replace(b"config.pooling", b"config.pool\xffng"),
                        "config.pooling"),
+    "adam moments of shape (1,)": (lambda b: _with_sections(
+        b, lambda m, o, r: o.update({"adam.m.proj.bias": np.zeros(1),
+                                     "adam.v.proj.bias": np.ones(1),
+                                     "adam.t.proj.bias": np.float64(1.0)})),
+        "adam.m.proj.bias"),
+    "adam.v missing": (lambda b: _with_sections(
+        b, lambda m, o, r: o.update({"adam.m.proj.bias": np.zeros(16),
+                                     "adam.t.proj.bias": np.float64(1.0)})),
+        "adam.v.proj.bias"),
 }
 
 
@@ -350,6 +359,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=next(iter(bad))):
             ModelConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [{"embed_dim": 16.9}, {"hidden_channels": [4, 4.5, 4]},
+                                     {"top_k": 2.5}])
+    def test_fractional_integer_setting_exit_2(self, tmp_path, capsys, workspace, bad):
+        _, data, _, _ = workspace
+        cfg_path = tmp_path / "frac.json"
+        cfg_path.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
+                  "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        assert "whole number" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_unknown_pooling_flag_exit_2(self, tmp_path, workspace):
         _, data, _, _ = workspace
         with pytest.raises(SystemExit) as exc:
@@ -366,3 +388,17 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_second_call_behaves_like_a_fresh_one(self, tmp_path, capsys, workspace):
+        # One parser serves every call in a process; a failed parse must leave
+        # nothing behind for the next.
+        _, data, _, trained_ckpt = workspace
+        image = str(data / "images" / "000000.ppm")
+        with pytest.raises(SystemExit) as exc:
+            main(["localize", "--ckpt", str(trained_ckpt), "--image", image, "--text", "red"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        code, out, _ = run(capsys, "localize", "--ckpt", str(trained_ckpt), "--image", image,
+                           "--text", "red", "--out", str(tmp_path / "a"))
+        assert code == 0
+        assert json.loads(out) == json.loads((tmp_path / "a.json").read_text())

@@ -188,3 +188,27 @@ class TestCenterBaseline:
         expected = float(np.mean([w * h / side ** 2 for (_, _, w, h) in boxes]))
         sigma = np.sqrt(expected * (1 - expected) / total)
         assert abs(hits / total - expected) < 3 * sigma
+
+
+class _CountingModel(_OracleModel):
+    def __init__(self, phrases, stacks):
+        super().__init__(phrases, stacks)
+        self.text_calls = []
+
+    def encode_text(self, phrase, training=False, rng_key=()):
+        self.text_calls.append(phrase)
+        return super().encode_text(phrase, training, rng_key)
+
+
+class TestPointingEncodesEachPhraseOnce:
+    def test_repeated_phrase_is_encoded_once(self):
+        oracle, regions = build_oracle_case(np.random.default_rng(5), n_scenes=4)
+        model = _CountingModel(list(oracle.phrase_index), oracle.stacks)
+        # Every region asked twice, plus every phrase asked of the first image.
+        queries = regions + regions + [(regions[0][0], phrase, regions[0][2])
+                                       for _, phrase, _ in regions]
+        report = eval_pointing(model, queries, LocalizationConfig(top_k=1))
+        assert sorted(model.text_calls) == sorted(oracle.phrase_index)
+        one_by_one = [eval_pointing(oracle, [q], LocalizationConfig(top_k=1)).hits[0]
+                      for q in queries]
+        assert report.hits == one_by_one

@@ -6,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+import semvis.train as train_module
+from semvis import autodiff
 from semvis.autodiff import Tensor
 from semvis.data import generate_dataset
 from semvis.errors import CheckpointError, ContractError
@@ -116,6 +118,53 @@ class TestTrainEpoch:
         train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
         for name, value in frozen_before.items():
             np.testing.assert_array_equal(model.params[name].data, value)
+
+    def test_frozen_tensors_leave_the_graph(self, monkeypatch):
+        conv_backward_calls = []
+        real_conv2d = autodiff.conv2d
+
+        def counting_conv2d(*args, **kwargs):
+            out = real_conv2d(*args, **kwargs)
+            if out._backward is not None:
+                inner = out._backward
+                out._backward = lambda g: (conv_backward_calls.append(1), inner(g))
+            return out
+
+        with_grad, tracked = set(), set()
+        real_adam_step = train_module.adam_step
+
+        def recording_adam_step(params, state, lr, names):
+            with_grad.update(n for n, p in params.items() if p.grad is not None)
+            tracked.update(n for n, p in params.items() if p.requires_grad)
+            real_adam_step(params, state, lr, names)
+
+        monkeypatch.setattr(autodiff, "conv2d", counting_conv2d)
+        monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
+        model, dataset = tiny_setup()
+        sched = TrainSchedule(epochs=2, batch_size=4, freeze_epochs=1)
+        train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
+        early = set(trainable_set(0, sched, model.params))
+        assert with_grad == tracked == early
+        assert not conv_backward_calls
+        assert all(p.requires_grad for p in model.params.values())
+
+        with_grad.clear()
+        tracked.clear()
+        train_epoch(model, dataset, sched, AdamState(), epoch=1, seed=1)   # the control
+        assert with_grad == tracked == set(model.params)
+        assert conv_backward_calls
+
+    def test_requires_grad_restored_when_the_epoch_raises(self, monkeypatch):
+        def failing_loss(batch, cfg):
+            assert not model.params["backbone.0.kernel"].requires_grad
+            raise RuntimeError("loss failed")
+
+        monkeypatch.setattr(train_module, "batch_loss", failing_loss)
+        model, dataset = tiny_setup()
+        sched = TrainSchedule(epochs=1, batch_size=4, freeze_epochs=1)
+        with pytest.raises(RuntimeError, match="loss failed"):
+            train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
+        assert all(p.requires_grad for p in model.params.values())
 
     def test_loss_decreases_over_a_short_run(self):
         model, dataset = tiny_setup(n_scenes=48)
