@@ -16,7 +16,7 @@ from .data import Dataset, Scene, SceneConfig, generate_dataset, read_dataset, w
 from .evaluate import (PointingReport, RetrievalReport, center_baseline, eval_pointing,
                        eval_retrieval)
 from .localize import Heatmap, LocalizationConfig, activation_maps, heatmap, point
-from .loss import Batch, LossConfig, batch_loss, cosine_sim, similarity_matrix, triplet_loss
+from .loss import Batch, LossConfig, batch_loss
 from .model import Model, ModelConfig
 from .text import Vocab, tokenize
 from .train import (AdamState, TrainSchedule, adam_step, effective_lr, load_checkpoint,
@@ -27,7 +27,7 @@ __all__ = [
     "Dataset", "Scene", "SceneConfig", "generate_dataset", "read_dataset", "write_dataset",
     "PointingReport", "RetrievalReport", "center_baseline", "eval_pointing", "eval_retrieval",
     "Heatmap", "LocalizationConfig", "activation_maps", "heatmap", "point",
-    "Batch", "LossConfig", "batch_loss", "cosine_sim", "similarity_matrix", "triplet_loss",
+    "Batch", "LossConfig", "batch_loss",
     "Model", "ModelConfig",
     "Vocab", "tokenize",
     "AdamState", "TrainSchedule", "adam_step", "effective_lr", "load_checkpoint",

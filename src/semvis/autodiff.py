@@ -225,45 +225,11 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.maximum(a.data, 0.0), (a,), "relu", backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # Branch on sign to avoid overflow in exp for large |x|.
-    x = a.data
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def backward(g):
-        _accum(a, g * out * (1.0 - out))
-
-    return _result(out, (a,), "sigmoid", backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def backward(g):
-        _accum(a, g * (1.0 - out * out))
-
-    return _result(out, (a,), "tanh", backward)
-
-
 def reduce_sum(a: Tensor) -> Tensor:
     def backward(g):
         _accum(a, np.full_like(a.data, float(g)))
 
     return _result(a.data.sum(), (a,), "reduce_sum", backward)
-
-
-def reduce_max(a: Tensor) -> Tensor:
-    """Maximum over all entries; the gradient goes to the first (row-major) argmax."""
-    idx = int(np.argmax(a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf.reshape(-1)[idx] = float(g)
-            _accum(a, buf)
-
-    return _result(a.data.reshape(-1)[idx], (a,), "reduce_max", backward)
 
 
 def add_const(a: Tensor, c: float) -> Tensor:
@@ -344,16 +310,14 @@ def reduce_sum_rows(a: Tensor) -> Tensor:
 def dropout(a: Tensor, p: float, seed, training: bool = True) -> Tensor:
     """Zero entries independently with probability ``p``, scaling survivors by 1/(1-p).
 
-    Identity when ``training`` is false or ``p == 0``.  The mask is a pure
-    function of ``seed`` (an int or tuple of ints), so repeated calls with
-    the same seed reproduce the same mask bit-for-bit.
+    Returns ``a`` itself when ``training`` is false or ``p == 0``.  The mask
+    is a pure function of ``seed`` (an int or tuple of ints), so repeated
+    calls with the same seed reproduce the same mask bit-for-bit.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        def backward_id(g):
-            _accum(a, g)
-        return _result(a.data.copy(), (a,), "dropout", backward_id)
+        return a
 
     rng = np.random.default_rng(seed)
     keep = rng.random(a.shape) >= p
@@ -397,35 +361,6 @@ def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
             _accum(a, buf)
 
     return _result(a.data[idx], (a,), "take_rows", backward)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) along the first axis."""
-    n = a.data.shape[0] if a.data.ndim else 0
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(f"slice_rows [{start}:{stop}) out of range for shape {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[start:stop] += g
-            _accum(a, buf)
-
-    return _result(a.data[start:stop].copy(), (a,), "slice_rows", backward)
-
-
-def stack1d(parts: Sequence[Tensor]) -> Tensor:
-    """Stack scalar tensors into a vector (used to reduce over hinge terms)."""
-    parts = tuple(parts)
-    for p in parts:
-        if p.data.shape != ():
-            raise ShapeError(f"stack1d needs scalars, got shape {p.data.shape}")
-
-    def backward(g):
-        for i, p in enumerate(parts):
-            _accum(p, g[i])
-
-    return _result(np.array([p.data for p in parts]), parts, "stack1d", backward)
 
 
 # ---------------------------------------------------------------------------

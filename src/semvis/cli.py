@@ -29,9 +29,9 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .data import Dataset, SceneConfig, generate_dataset, read_dataset, write_dataset
+from .data import CELLS, Dataset, SceneConfig, generate_dataset, read_dataset, write_dataset
 from .errors import DegenerateInputError
-from .evaluate import eval_pointing, eval_retrieval
+from .evaluate import RetrievalReport, eval_pointing, eval_retrieval
 from .localize import LocalizationConfig, activation_maps, heatmap, point, render_heatmap
 from .model import Model, ModelConfig, coerce_setting, setting_type
 from .ppm import read_ppm
@@ -78,8 +78,9 @@ def _parse_objects(spec: str) -> tuple[int, int]:
         hi_i = int(hi) if hi else lo_i
     except ValueError:
         raise argparse.ArgumentTypeError(f"--objects expects N or N..M, got {spec!r}") from None
-    if not 1 <= lo_i <= hi_i:
-        raise argparse.ArgumentTypeError(f"--objects range {spec!r} is empty or non-positive")
+    if not 1 <= lo_i <= hi_i <= CELLS:
+        raise argparse.ArgumentTypeError(
+            f"--objects range {spec!r} is empty or outside 1..{CELLS} (one object per grid cell)")
     return lo_i, hi_i
 
 
@@ -103,6 +104,8 @@ def _encode_corpus(model: Model, dataset: Dataset):
 # ---------------------------------------------------------------------------
 
 def cmd_generate_data(args, parser) -> int:
+    if args.scenes < 0:
+        parser.error(f"--scenes must be >= 0, got {args.scenes}")
     lo, hi = args.objects
     cfg = SceneConfig(min_objects=lo, max_objects=hi)
     dataset = generate_dataset(args.scenes, args.seed, cfg)
@@ -156,10 +159,10 @@ def cmd_eval_retrieval(args, parser) -> int:
         img_reports.append(img_r)
 
     def averaged(reports):
-        return {"direction": reports[0].direction,
-                "r_at": {str(r): float(np.mean([rep.r_at[r] for rep in reports]))
-                         for r in sorted(reports[0].r_at)},
-                "median_rank": float(np.mean([rep.median_rank for rep in reports]))}
+        return RetrievalReport(reports[0].direction,
+                               {r: float(np.mean([rep.r_at[r] for rep in reports]))
+                                for r in reports[0].r_at},
+                               float(np.mean([rep.median_rank for rep in reports]))).to_dict()
 
     print(json.dumps({"caption_retrieval": averaged(cap_reports),
                       "image_retrieval": averaged(img_reports)}, sort_keys=True))

@@ -1,10 +1,13 @@
 """Synthetic captioned scenes with ground-truth region boxes.
 
-Each scene is a 64x64 RGB image of 2-3 solid colored shapes placed on a
-jittered grid (so they never overlap), five template captions, and one
-(phrase, bounding box) region annotation per object.  No two objects in a
-scene share the same (shape, color) pair, so every region phrase points at
-exactly one object.
+Each scene is a ``CANVAS`` x ``CANVAS`` (64x64) RGB image of 2-3 solid
+colored shapes, ``CAPTIONS_PER_SCENE`` (5) template captions, and one
+(phrase, bounding box) region annotation per object.  The canvas is cut into
+a ``GRID`` x ``GRID`` (2x2) grid of ``CELLS`` cells; each object takes its own
+cell, has a side of ``MIN_SIZE``..``MAX_SIZE`` (22..28) pixels and keeps
+``CELL_MARGIN`` (2) pixels from the cell's edges at a jittered offset, so
+objects never overlap.  No two objects in a scene share the same (shape,
+color) pair, so every region phrase points at exactly one object.
 
 On disk a dataset is a directory::
 
@@ -17,14 +20,13 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GenerationError, ManifestError
 from .ppm import read_ppm, write_ppm
-from .text import Vocab
+from .text import Vocab, split_words
 
 SHAPES = ("circle", "square", "triangle", "cross")
 COLORS = {
@@ -39,16 +41,20 @@ COLORS = {
 BBox = tuple[int, int, int, int]  # (x_min, y_min, width, height)
 
 
+CANVAS = 64
+GRID = 2                          # GRID x GRID placement cells
+CELLS = GRID * GRID
+CELL_PX = CANVAS // GRID
+MIN_SIZE = 22                     # large relative to the cell: objects must survive
+MAX_SIZE = 28                     # a 16x downsample with their identity intact
+CELL_MARGIN = 2                   # MAX_SIZE + 2 * CELL_MARGIN <= CELL_PX
+CAPTIONS_PER_SCENE = 5
+
+
 @dataclass
 class SceneConfig:
-    canvas: int = 64
-    grid: int = 2            # grid x grid placement cells
     min_objects: int = 2
     max_objects: int = 3
-    min_size: int = 22       # large relative to the cell: objects must survive
-    max_size: int = 28       # a 16x downsample with their identity intact
-    cell_margin: int = 2
-    captions_per_scene: int = 5
 
 
 @dataclass(eq=False)
@@ -118,8 +124,8 @@ def _shape_mask(shape: str, size: int) -> np.ndarray:
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def render_scene(objects: list[SceneObject], canvas: int) -> np.ndarray:
-    image = np.zeros((3, canvas, canvas), dtype=np.uint8)
+def render_scene(objects: list[SceneObject]) -> np.ndarray:
+    image = np.zeros((3, CANVAS, CANVAS), dtype=np.uint8)
     for obj in objects:
         x, y, w, h = obj.bbox
         mask = _shape_mask(obj.shape, w)
@@ -132,37 +138,32 @@ def render_scene(objects: list[SceneObject], canvas: int) -> np.ndarray:
 def generate_scene(seed, cfg: SceneConfig = SceneConfig(), scene_id: int = -1) -> Scene:
     """Deterministically build one scene from ``seed`` (an int or tuple of ints)."""
     rng = np.random.default_rng(seed)
-    cells = cfg.grid * cfg.grid
-    cell_px = cfg.canvas // cfg.grid
-    if cfg.max_objects > cells:
-        raise GenerationError(f"cannot place {cfg.max_objects} objects on a {cfg.grid}x{cfg.grid} grid")
-    if cfg.max_size + 2 * cfg.cell_margin > cell_px:
-        raise GenerationError(f"objects of size {cfg.max_size} do not fit in {cell_px}px grid cells")
+    if cfg.max_objects > CELLS:
+        raise GenerationError(f"cannot place {cfg.max_objects} objects on a {GRID}x{GRID} grid")
 
     n = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
     combos = [(s, c) for s in SHAPES for c in COLORS]
     picks = rng.choice(len(combos), size=n, replace=False)
-    cell_ids = rng.choice(cells, size=n, replace=False)
+    cell_ids = rng.choice(CELLS, size=n, replace=False)
 
     objects = []
     for combo_idx, cell_idx in zip(picks, cell_ids):
         shape, color = combos[int(combo_idx)]
-        size = int(rng.integers(cfg.min_size, cfg.max_size + 1))
-        cx = (int(cell_idx) % cfg.grid) * cell_px
-        cy = (int(cell_idx) // cfg.grid) * cell_px
-        slack = cell_px - size - 2 * cfg.cell_margin
-        x = cx + cfg.cell_margin + int(rng.integers(0, slack + 1))
-        y = cy + cfg.cell_margin + int(rng.integers(0, slack + 1))
+        size = int(rng.integers(MIN_SIZE, MAX_SIZE + 1))
+        cx = (int(cell_idx) % GRID) * CELL_PX
+        cy = (int(cell_idx) // GRID) * CELL_PX
+        slack = CELL_PX - size - 2 * CELL_MARGIN
+        x = cx + CELL_MARGIN + int(rng.integers(0, slack + 1))
+        y = cy + CELL_MARGIN + int(rng.integers(0, slack + 1))
         objects.append(SceneObject(shape, color, (x, y, size, size)))
 
-    captions = caption_objects(objects, rng, cfg.captions_per_scene)
+    captions = caption_objects(objects, rng)
     regions = [(obj.phrase, obj.bbox) for obj in objects]
-    return Scene(scene_id, render_scene(objects, cfg.canvas), objects, captions, regions)
+    return Scene(scene_id, render_scene(objects), objects, captions, regions)
 
 
-def caption_objects(objects: list[SceneObject], rng: np.random.Generator,
-                    count: int = 5) -> list[str]:
-    """Sample ``count`` template captions over the scene's objects.
+def caption_objects(objects: list[SceneObject], rng: np.random.Generator) -> list[str]:
+    """Sample ``CAPTIONS_PER_SCENE`` template captions over the scene's objects.
 
     Templates: "a {color} {shape}", "the {shape} is {color}", and the
     two-object conjunction.  When the scene has two or more objects, at
@@ -178,18 +179,13 @@ def caption_objects(objects: list[SceneObject], rng: np.random.Generator,
     if pairs:
         chosen.append(pairs[int(rng.integers(0, len(pairs)))])
     pool = [c for c in singles + attrs + pairs if c not in chosen]
-    while len(chosen) < count and pool:
+    while len(chosen) < CAPTIONS_PER_SCENE and pool:
         idx = int(rng.integers(0, len(pool)))
         chosen.append(pool.pop(idx))
     full = singles + attrs + pairs
-    while len(chosen) < count:  # tiny scenes: repeat once the pool is exhausted
+    while len(chosen) < CAPTIONS_PER_SCENE:  # tiny scenes: repeat once the pool is exhausted
         chosen.append(full[int(rng.integers(0, len(full)))])
     return chosen
-
-
-def caption_scene(scene: Scene, seed, count: int = 5) -> list[str]:
-    """Re-draw captions for an existing scene from a fresh seed."""
-    return caption_objects(scene.objects, np.random.default_rng(seed), count)
 
 
 def build_vocab(scenes: list[Scene]) -> Vocab:
@@ -197,7 +193,7 @@ def build_vocab(scenes: list[Scene]) -> Vocab:
     tokens: set[str] = set()
     for scene in scenes:
         for text in scene.captions + [p for p, _ in scene.regions]:
-            tokens.update(re.findall(r"[a-z0-9]+", text.lower()))
+            tokens.update(split_words(text))
     return Vocab(sorted(tokens))
 
 

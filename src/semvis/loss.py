@@ -1,4 +1,4 @@
-"""Cosine similarity and the contrastive triplet ranking losses.
+"""The contrastive triplet ranking loss over a batch of unit-norm embeddings.
 
 For every aligned (image, caption) pair in a batch, the loss demands that
 the pair's similarity beat each in-batch mismatched similarity by a margin,
@@ -52,25 +52,6 @@ class Batch:
             raise ContractError("images, captions and image_ids must have equal lengths")
 
 
-def cosine_sim(x, v) -> float:
-    """Dot product of two unit vectors (plain float, no graph)."""
-    a = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    b = v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
-    return float(a @ b)
-
-
-def triplet_loss(query, positive, negative, margin: float = 0.2) -> float:
-    """Hinge value max(0, margin - sim(q, pos) + sim(q, neg)) as a plain float."""
-    return max(0.0, margin - cosine_sim(query, positive) + cosine_sim(query, negative))
-
-
-def triplet_hinge(query: Tensor, positive: Tensor, negative: Tensor,
-                  margin: float) -> Tensor:
-    """Differentiable version of ``triplet_loss`` (a scalar graph node)."""
-    gap = ad.sub(ad.dot(query, negative), ad.dot(query, positive))
-    return ad.relu(ad.add(gap, Tensor(np.float64(margin))))
-
-
 def batch_loss(batch: Batch, cfg: LossConfig) -> Tensor:
     """Mean over the batch of both retrieval directions' contrastive terms.
 
@@ -110,11 +91,3 @@ def batch_loss(batch: Batch, cfg: LossConfig) -> Tensor:
     image_terms = direction(ad.transpose2d(sim))          # query: caption i
     return ad.scale(ad.reduce_sum(ad.add(caption_terms, image_terms)), 1.0 / n)
 
-
-def similarity_matrix(images, captions) -> Tensor:
-    """(N_img, N_cap) cosine similarities; a plain value (no gradient graph)."""
-    rows = np.stack([x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-                     for x in images])
-    cols = np.stack([v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
-                     for v in captions])
-    return Tensor(rows @ cols.T)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -168,6 +168,3 @@ class Model:
         token_ids = text_mod.tokenize(text, self.vocab) if isinstance(text, str) else list(text)
         return text_mod.encode_text(token_ids, self.params, self.cfg,
                                     training=training, rng_key=rng_key)
-
-    def clone_config(self, **overrides) -> ModelConfig:
-        return replace(self.cfg, **overrides)

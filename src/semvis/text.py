@@ -59,52 +59,24 @@ class Vocab:
         return cls(tokens[1:])
 
 
+def split_words(text: str) -> list[str]:
+    """Lowercase and split on whitespace and punctuation."""
+    return _WORD_RE.findall(text.lower())
+
+
 def tokenize(text: str, vocab: Vocab) -> list[int]:
-    """Lowercase, split on whitespace and punctuation, map through the vocabulary.
+    """Split ``text`` into words and map them through the vocabulary.
 
     Raises DegenerateInputError when nothing remains after splitting.
     """
-    words = _WORD_RE.findall(text.lower())
+    words = split_words(text)
     if not words:
         raise DegenerateInputError(f"no tokens left after splitting {text!r}")
     return [vocab.lookup(w) for w in words]
 
 
-def sru_cell(x_t: Tensor, c_prev: Tensor, params: dict, depth: int = 0) -> tuple[Tensor, Tensor]:
-    """One recurrence step of layer ``depth`` (tensors ``sru.{depth}.*``, see ``sru_layer``).
-
-    candidate = W_x x_t
-    f = sigmoid(W_f x_t + b_f),  r = sigmoid(W_r x_t + b_r)
-    c_t = f * c_prev + (1 - f) * candidate
-    h_t = r * tanh(c_t) + (1 - r) * x_hat        (x_hat = x_t, or proj @ x_t)
-    """
-    weight, bias_f, bias_r, proj = _layer(params, depth)
-    hidden = bias_f.shape[0]
-    if c_prev.shape != (hidden,):
-        raise ShapeError(f"sru_cell: carry shape {c_prev.shape} does not match hidden {hidden}")
-    wx = ad.matmul(weight, x_t)
-    candidate = ad.slice_rows(wx, 0, hidden)
-    f = ad.sigmoid(ad.add(ad.slice_rows(wx, hidden, 2 * hidden), bias_f))
-    r = ad.sigmoid(ad.add(ad.slice_rows(wx, 2 * hidden, 3 * hidden), bias_r))
-    one = Tensor(np.ones(hidden))
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(ad.sub(one, f), candidate))
-    if proj is not None:
-        x_hat = ad.matmul(proj, x_t)
-    elif x_t.shape == (hidden,):
-        x_hat = x_t
-    else:
-        raise ShapeError(f"sru_cell: input shape {x_t.shape} needs a projection onto hidden {hidden}")
-    h_t = ad.add(ad.mul(r, ad.tanh(c_t)), ad.mul(ad.sub(one, r), x_hat))
-    return h_t, c_t
-
-
-def _layer(params: dict, depth: int) -> tuple:
-    prefix = f"sru.{depth}."
-    return (params[prefix + "weight"], params[prefix + "bias_f"], params[prefix + "bias_r"],
-            params.get(prefix + "proj"))
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    # Branch on sign so that exp never overflows for large |x|.
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -119,12 +91,20 @@ def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
     onto the hidden size for the highway term and is only present when the
     input dimension differs from the hidden size.
 
-    Semantically identical to chaining ``sru_cell`` with a zero initial
-    carry (the test suite asserts the equivalence), but executes as a single
-    graph node: the heavy input transforms batch into one matrix product
-    and only the elementwise carry recurrence loops over time.
+    Per step, with a zero initial carry::
+
+        candidate = W_x x_t
+        f = sigmoid(W_f x_t + b_f),  r = sigmoid(W_r x_t + b_r)
+        c_t = f * c_prev + (1 - f) * candidate
+        h_t = r * tanh(c_t) + (1 - r) * x_hat        (x_hat = x_t, or proj @ x_t)
+
+    The layer executes as a single graph node: the heavy input transforms
+    batch into one matrix product and only the elementwise carry recurrence
+    loops over time (the test suite checks it against an op-by-op cell).
     """
-    weight, bias_f, bias_r, proj = _layer(params, depth)
+    prefix = f"sru.{depth}."
+    weight, bias_f, bias_r = (params[prefix + n] for n in ("weight", "bias_f", "bias_r"))
+    proj = params.get(prefix + "proj")
     hidden = bias_f.shape[0]
     if x_seq.data.ndim != 2:
         raise ShapeError(f"sru_layer needs a (T, in_dim) sequence, got {x_seq.shape}")

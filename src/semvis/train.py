@@ -79,11 +79,15 @@ def trainable_set(epoch: int, sched: TrainSchedule, param_names) -> list[str]:
     return names
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """Per-tensor first and second moments and step counts, keyed by parameter name."""
+
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: dict = field(default_factory=dict)
@@ -102,11 +106,11 @@ def adam_step(params: dict, state: AdamState, lr: float, names) -> None:
             state.t[name] = 0
         state.t[name] += 1
         t = state.t[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / (1.0 - state.beta1 ** t)
-        v_hat = state.v[name] / (1.0 - state.beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _training_captions(scene) -> list[str]:
@@ -115,7 +119,7 @@ def _training_captions(scene) -> list[str]:
 
 
 def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: AdamState,
-                epoch: int, seed: int, loss_cfg: LossConfig | None = None) -> float:
+                epoch: int, seed: int) -> float:
     """One pass over the shuffled dataset; returns the mean batch loss.
 
     Each scene appears once per stored caption.  Per appearance it
@@ -126,8 +130,7 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
     """
     if not dataset.scenes:
         raise ContractError("cannot train on an empty dataset")
-    if loss_cfg is None:
-        loss_cfg = LossConfig(model.cfg.margin, model.cfg.mining)
+    loss_cfg = LossConfig(model.cfg.margin, model.cfg.mining)
     rng = np.random.default_rng((seed, _EPOCH_SALT, epoch))
     # One epoch walks every (image, caption slot) pair, so a scene appears
     # once per stored caption; same-scene appearances may share a batch and
@@ -191,7 +194,7 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
 
 def train(model: Model, dataset: Dataset, sched: TrainSchedule, seed: int,
           state: AdamState | None = None, start_epoch: int = 0,
-          loss_cfg: LossConfig | None = None, log_path=None) -> list[dict]:
+          log_path=None) -> list[dict]:
     """Run epochs [start_epoch, sched.epochs); returns one log record per epoch."""
     if state is None:
         state = AdamState()
@@ -199,7 +202,7 @@ def train(model: Model, dataset: Dataset, sched: TrainSchedule, seed: int,
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
     try:
         for epoch in range(start_epoch, sched.epochs):
-            loss = train_epoch(model, dataset, sched, state, epoch, seed, loss_cfg)
+            loss = train_epoch(model, dataset, sched, state, epoch, seed)
             record = {"epoch": epoch, "loss": loss, "lr": effective_lr(epoch, sched),
                       "trainable": trainable_set(epoch, sched, model.params)}
             history.append(record)

@@ -1,10 +1,130 @@
-"""Shared helpers: plain-numpy oracles kept independent of the autodiff path."""
+"""Shared helpers: plain-numpy oracles kept independent of the autodiff path, and
+op-by-op reference versions of fused library kernels, built on ``ad.fused_op``."""
 
 import numpy as np
 import pytest
 
+from semvis import autodiff as ad
+from semvis.autodiff import Tensor
+from semvis.errors import ShapeError
 from semvis.model import Model, ModelConfig
-from semvis.text import Vocab
+from semvis.text import Vocab, _stable_sigmoid
+
+
+# ---------------------------------------------------------------------------
+# reference ops: the elementwise and indexing steps of the op-by-op SRU cell
+# ---------------------------------------------------------------------------
+
+def sigmoid(a):
+    out = _stable_sigmoid(a.data)
+    return ad.fused_op(out, [a], "sigmoid", lambda g, acc: acc(a, g * out * (1.0 - out)))
+
+
+def tanh(a):
+    out = np.tanh(a.data)
+    return ad.fused_op(out, [a], "tanh", lambda g, acc: acc(a, g * (1.0 - out * out)))
+
+
+def slice_rows(a, start, stop):
+    """Contiguous slice [start:stop) along the first axis."""
+    n = a.data.shape[0] if a.data.ndim else 0
+    if not 0 <= start <= stop <= n:
+        raise ShapeError(f"slice_rows [{start}:{stop}) out of range for shape {a.shape}")
+
+    def backward(g, acc):
+        buf = np.zeros_like(a.data)
+        buf[start:stop] += g
+        acc(a, buf)
+
+    return ad.fused_op(a.data[start:stop].copy(), [a], "slice_rows", backward)
+
+
+def stack1d(parts):
+    """Stack scalar tensors into a vector."""
+    parts = tuple(parts)
+    for p in parts:
+        if p.data.shape != ():
+            raise ShapeError(f"stack1d needs scalars, got shape {p.data.shape}")
+
+    def backward(g, acc):
+        for i, p in enumerate(parts):
+            acc(p, g[i])
+
+    return ad.fused_op(np.array([p.data for p in parts]), parts, "stack1d", backward)
+
+
+def reduce_max(a):
+    """Maximum over all entries; the gradient goes to the first (row-major) argmax."""
+    idx = int(np.argmax(a.data))
+
+    def backward(g, acc):
+        buf = np.zeros_like(a.data)
+        buf.reshape(-1)[idx] = float(g)
+        acc(a, buf)
+
+    return ad.fused_op(a.data.reshape(-1)[idx], [a], "reduce_max", backward)
+
+
+def sru_cell(x_t, c_prev, params, depth=0):
+    """One recurrence step of layer ``depth`` (tensors ``sru.{depth}.*``), op by op;
+    the reference that ``text.sru_layer`` is checked against.
+
+    candidate = W_x x_t
+    f = sigmoid(W_f x_t + b_f),  r = sigmoid(W_r x_t + b_r)
+    c_t = f * c_prev + (1 - f) * candidate
+    h_t = r * tanh(c_t) + (1 - r) * x_hat        (x_hat = x_t, or proj @ x_t)
+    """
+    prefix = f"sru.{depth}."
+    weight, bias_f, bias_r = (params[prefix + n] for n in ("weight", "bias_f", "bias_r"))
+    proj = params.get(prefix + "proj")
+    hidden = bias_f.shape[0]
+    if c_prev.shape != (hidden,):
+        raise ShapeError(f"sru_cell: carry shape {c_prev.shape} does not match hidden {hidden}")
+    wx = ad.matmul(weight, x_t)
+    candidate = slice_rows(wx, 0, hidden)
+    f = sigmoid(ad.add(slice_rows(wx, hidden, 2 * hidden), bias_f))
+    r = sigmoid(ad.add(slice_rows(wx, 2 * hidden, 3 * hidden), bias_r))
+    one = Tensor(np.ones(hidden))
+    c_t = ad.add(ad.mul(f, c_prev), ad.mul(ad.sub(one, f), candidate))
+    if proj is not None:
+        x_hat = ad.matmul(proj, x_t)
+    elif x_t.shape == (hidden,):
+        x_hat = x_t
+    else:
+        raise ShapeError(f"sru_cell: input shape {x_t.shape} needs a projection onto hidden {hidden}")
+    h_t = ad.add(ad.mul(r, tanh(c_t)), ad.mul(ad.sub(one, r), x_hat))
+    return h_t, c_t
+
+
+# ---------------------------------------------------------------------------
+# reference similarities and single-triplet hinges
+# ---------------------------------------------------------------------------
+
+def _values(x):
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def cosine_sim(x, v):
+    """Dot product of two unit vectors (plain float, no graph)."""
+    return float(_values(x) @ _values(v))
+
+
+def triplet_loss(query, positive, negative, margin=0.2):
+    """Hinge value max(0, margin - sim(q, pos) + sim(q, neg)) as a plain float."""
+    return max(0.0, margin - cosine_sim(query, positive) + cosine_sim(query, negative))
+
+
+def triplet_hinge(query, positive, negative, margin):
+    """Differentiable version of ``triplet_loss`` (a scalar graph node)."""
+    gap = ad.sub(ad.dot(query, negative), ad.dot(query, positive))
+    return ad.relu(ad.add(gap, Tensor(np.float64(margin))))
+
+
+def similarity_matrix(images, captions):
+    """(N_img, N_cap) cosine similarities; a plain value (no gradient graph)."""
+    rows = np.stack([_values(x) for x in images])
+    cols = np.stack([_values(v) for v in captions])
+    return Tensor(rows @ cols.T)
 
 
 def naive_conv2d(x, kernel, stride, pad):

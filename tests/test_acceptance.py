@@ -7,19 +7,21 @@ on the order of ten minutes; everything else is seconds.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import MICRO_CONFIG, enumerate_batch_loss, oracle_retrieval_ranks
+from conftest import (MICRO_CONFIG, enumerate_batch_loss, oracle_retrieval_ranks, sru_cell,
+                      triplet_hinge)
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.data import generate_dataset
 from semvis.evaluate import center_baseline, eval_pointing, eval_retrieval
 from semvis.localize import LocalizationConfig, activation_maps, heatmap, point, top_k_indices
-from semvis.loss import Batch, LossConfig, batch_loss, triplet_hinge
+from semvis.loss import Batch, LossConfig, batch_loss
 from semvis.model import Model, ModelConfig
-from semvis.text import Vocab, sru_cell
+from semvis.text import Vocab
 from semvis.train import (AdamState, TrainSchedule, effective_lr, load_checkpoint,
                           save_checkpoint, train, trainable_set)
 from semvis.visual import project
@@ -374,7 +376,7 @@ def test_criterion_7_ablation_directions():
             train(warm, train_ds, sched, seed=seed, state=warm_state)
             scores = {}
             for mining in ("hard", "random"):
-                arm = Model.from_params(warm.clone_config(mining=mining), warm.vocab,
+                arm = Model.from_params(replace(warm.cfg, mining=mining), warm.vocab,
                                         {k: v.data.copy() for k, v in warm.params.items()})
                 tune = TrainSchedule(epochs=12, batch_size=32, freeze_epochs=0)
                 train(arm, train_ds, tune, seed=seed + 7, state=AdamState(),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reduce_max, sigmoid, slice_rows, stack1d, tanh
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import DegenerateInputError, GraphError, ShapeError
@@ -184,10 +185,10 @@ class TestElementwise:
         np.testing.assert_array_equal(ad.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
     def test_sigmoid_at_zero(self):
-        assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+        assert sigmoid(Tensor(0.0)).item() == 0.5
 
     def test_sigmoid_stable_at_extremes(self):
-        out = ad.sigmoid(Tensor([-1000.0, 1000.0])).data
+        out = sigmoid(Tensor([-1000.0, 1000.0])).data
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-300)
 
     def test_binary_op_shape_mismatch(self):
@@ -204,6 +205,11 @@ class TestElementwise:
     def test_dropout_eval_mode_is_identity(self):
         x = randt(10, 6)
         np.testing.assert_array_equal(ad.dropout(x, 0.9, seed=1, training=False).data, x.data)
+
+    def test_identity_dropout_returns_its_input(self):
+        x = randt(10, 6)
+        assert ad.dropout(x, 0.9, seed=1, training=False) is x
+        assert ad.dropout(x, 0.0, seed=1, training=True) is x
 
     def test_dropout_deterministic_given_seed(self):
         x = randt(11, 50)
@@ -289,7 +295,7 @@ class TestBackward:
 class TestReductionsAndIndexing:
     def test_reduce_max_gradient_first_argmax(self):
         x = Tensor([1.0, 3.0, 3.0, 2.0], requires_grad=True)
-        ad.reduce_max(x).backward()
+        reduce_max(x).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
 
     def test_take_row_gradient_hits_only_that_row(self):
@@ -301,12 +307,12 @@ class TestReductionsAndIndexing:
 
     def test_slice_rows_roundtrip_gradient(self):
         x = randt(20, 6)
-        err = ad.grad_check(lambda: ad.reduce_sum(ad.slice_rows(x, 2, 5)), [x])
+        err = ad.grad_check(lambda: ad.reduce_sum(slice_rows(x, 2, 5)), [x])
         assert err < 1e-9
 
     def test_stack1d_gradient(self):
         parts = [randt(21 + i) for i in range(4)]
-        ad.reduce_max(ad.stack1d(parts)).backward()
+        reduce_max(stack1d(parts)).backward()
         grads = [float(p.grad) for p in parts]
         data = [p.item() for p in parts]
         assert grads[int(np.argmax(data))] == 1.0 and sum(grads) == 1.0
@@ -340,8 +346,8 @@ class TestGradCheckHarness:
 
         def f():
             conv = ad.add_channel_bias(ad.conv2d(x, k, stride=1, pad=1), b)
-            pooled = ad.spatial_max_min(ad.tanh(conv))
-            proj = ad.matmul(w, ad.sigmoid(pooled))
+            pooled = ad.spatial_max_min(tanh(conv))
+            proj = ad.matmul(w, sigmoid(pooled))
             return ad.reduce_sum(ad.mul(ad.l2_normalize(proj), ad.relu(proj)))
 
         assert ad.grad_check(f, [x, k, b, w]) < 1e-4

@@ -88,6 +88,15 @@ class TestGenerateData:
             main(["generate-data", "--out", "x", "--scenes", "5", "--objects", "3..1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--scenes", "-3"], ["--scenes", "5", "--objects", "5"],
+                                       ["--scenes", "5", "--objects", "2..5"]])
+    def test_counts_it_cannot_honour_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate-data", "--out", str(out), *flags])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestTrain:
     def test_zero_epochs_equals_initialization(self, workspace):

@@ -6,9 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from semvis.data import (COLORS, SHAPES, Scene, SceneConfig, build_vocab,
-                         caption_scene, generate_dataset, generate_scene,
-                         read_dataset, write_dataset)
+from semvis.data import (COLORS, SHAPES, Scene, SceneConfig, build_vocab, caption_objects,
+                         generate_dataset, generate_scene, read_dataset, write_dataset)
 from semvis.errors import GenerationError, ManifestError
 
 
@@ -58,9 +57,7 @@ class TestGenerateScene:
 
     def test_infeasible_placement_rejected(self):
         with pytest.raises(GenerationError):
-            generate_scene(0, SceneConfig(grid=1, min_objects=2, max_objects=2))
-        with pytest.raises(GenerationError):
-            generate_scene(0, SceneConfig(max_size=40))
+            generate_scene(0, SceneConfig(min_objects=5, max_objects=5))   # 4 grid cells
 
     def test_marginals_uniform_over_shapes_and_colors(self):
         # 10^4 scenes; each drawn (shape, color) pair is uniform over the 24
@@ -102,7 +99,8 @@ class TestCaptions:
 
     def test_recaption_deterministic(self):
         scene = generate_scene(8)
-        assert caption_scene(scene, 123) == caption_scene(scene, 123)
+        assert (caption_objects(scene.objects, np.random.default_rng(123))
+                == caption_objects(scene.objects, np.random.default_rng(123)))
 
     def test_corpus_vocabulary_closure(self):
         dataset = generate_dataset(200, seed=4)

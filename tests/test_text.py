@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sru_cell, stack1d
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import DegenerateInputError
 from semvis.model import ModelConfig, init_params, param_shapes
-from semvis.text import Vocab, encode_text, sru_cell, sru_layer, tokenize
+from semvis.text import Vocab, encode_text, sru_layer, tokenize
 
 VOCAB = Vocab(["a", "red", "circle", "blue", "square", "the", "is"])
 
@@ -160,7 +161,7 @@ class TestSruLayerFusion:
         for t in range(5):
             h, c = sru_cell(ad.take_row(x_b, t), c, layer_b)
             hs.append(ad.dot(h, Tensor(w[t])))
-        ad.reduce_sum(ad.stack1d(hs)).backward()
+        ad.reduce_sum(stack1d(hs)).backward()
 
         np.testing.assert_allclose(x_a.grad, x_b.grad, rtol=1e-12, atol=1e-14)
         for name in ("sru.0.weight", "sru.0.bias_f", "sru.0.bias_r", "sru.0.proj"):
