@@ -6,13 +6,25 @@ max+min spatial reduction, l2 normalization, and a small elementwise suite.
 All arithmetic is float64 so that finite-difference gradient checks are
 decisive.
 
+Image ops take a channel-major (C, N, H, W) batch, or one (C, H, W) image
+as a batch of one; ``conv2d`` is one node per batch, gathers its patches
+image by image and fuses its channel bias and ReLU, so it keeps one
+activation alive.
+Pooling yields (N, C) rows, and the row-wise ops (``linear``,
+``l2_normalize``, ``dropout``) treat a vector as a batch of one.  A batched
+op computes each example with the same BLAS calls as a batch of one would,
+and sums parameter gradients over the examples with ``sum_examples``, so a
+batch gives the results of one graph per example bit for bit.
+
 Graphs are built eagerly: each op returns a new ``Tensor`` holding the
 result, references to its inputs and a closure that routes the incoming
 gradient to them.  ``Tensor.backward()`` walks the recorded graph once in
-reverse topological order.  Tensors are immutable after creation except for
-gradient accumulation (and in-place parameter updates by an optimizer that
-owns them exclusively); a graph is single-threaded, but independent graphs
-share no mutable state and may run in parallel threads.
+reverse topological order.  Inside ``with no_grad():`` ops record nothing,
+so evaluation keeps no closures or buffers alive.  Tensors are immutable
+after creation except for gradient accumulation (and in-place parameter
+updates by an optimizer that owns them exclusively); a graph is
+single-threaded, but independent graphs share no mutable state and may run
+in parallel threads.
 
 Dropout takes an explicit seed (an int or a tuple of ints), so a forward
 pass is reproducible bit-for-bit from the seed alone.
@@ -20,6 +32,9 @@ pass is reproducible bit-for-bit from the seed alone.
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,6 +42,30 @@ import numpy as np
 from .errors import DegenerateInputError, GraphError, ShapeError
 
 NORM_EPSILON = 1e-12  # below this l2_normalize refuses to divide
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed memory for reuse instead of returning it to the kernel.
+
+    A batched training step allocates and frees MB-sized arrays.  By default
+    glibc trims the top of its heap once more than twice its largest freed
+    block lies free there, and the next step faults the same pages back in;
+    whether a trim happens depends on what else the process has allocated, so
+    an epoch at the default batch faulted between 0 and ~7,000 pages back in,
+    and one that faulted took about a sixth longer.  Fixed thresholds (arrays
+    up to 32 MiB from the heap, trim only past 256 MiB free) make every step
+    reuse the last one's pages.  Nothing happens where the C library has no
+    ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 class Tensor:
@@ -85,7 +124,7 @@ class Tensor:
 
         Only leaves keep their gradients: each interior node drops its
         gradient and its closure (with the buffers the closure holds, such as
-        conv2d's im2col matrix) once it has run, so a graph can be
+        a ReLU mask's activation) once it has run, so a graph can be
         back-propagated only once.  Raises GraphError for non-scalar tensors,
         for a second call on the same tensor, and for a graph that shares a
         node with one already back-propagated (rebuild it instead of
@@ -129,10 +168,27 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+class _Untracked(threading.local):
+    on = False   # per thread, like the graphs
+
+
+_untracked = _Untracked()
+
+
+@contextmanager
+def no_grad():
+    """Within this scope results record no parents: nothing is tracked."""
+    prior, _untracked.on = _untracked.on, True
+    try:
+        yield
+    finally:
+        _untracked.on = prior
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
             backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents) and not _untracked.on:
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -141,10 +197,10 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
 
 
 def _accum(t: Tensor, g) -> None:
+    # The first gradient is adopted as it is; a later one is added out of
+    # place, so an array shared by two inputs is never written through.
     if t.requires_grad:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -170,6 +226,20 @@ def fused_op(data: np.ndarray, parents: Sequence[Tensor], name: str,
     """
     return _result(np.asarray(data, dtype=np.float64), tuple(parents), name,
                    lambda g: backward(g, _accum))
+
+
+def sum_examples(n: int, part: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Sum ``part(k)`` over the n examples of a batch one at a time, the last first.
+
+    That is the order in which one graph per example, joined by a loss,
+    accumulates its gradients into a shared tensor; batched kernels reduce
+    their parameter gradients this way, so a batch trains bit-for-bit as its
+    examples would one graph each.
+    """
+    total = np.array(part(n - 1), dtype=np.float64)
+    for k in range(n - 2, -1, -1):
+        total += part(k)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +276,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data * b.data, (a, b), "mul", backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward(g):
-        _accum(a, g * c)
-
-    return _result(a.data * c, (a,), "scale", backward)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
 
@@ -232,79 +293,22 @@ def reduce_sum(a: Tensor) -> Tensor:
     return _result(a.data.sum(), (a,), "reduce_sum", backward)
 
 
-def add_const(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward(g):
-        _accum(a, g)
-
-    return _result(a.data + c, (a,), "add_const", backward)
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose2d needs a matrix, got shape {a.shape}")
-
-    def backward(g):
-        _accum(a, g.T)
-
-    return _result(a.data.T.copy(), (a,), "transpose2d", backward)
-
-
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack same-length vectors into a matrix, one tensor per row."""
+    """Stack same-width vectors, or (n, d) blocks of rows, into one matrix."""
     rows = tuple(rows)
     if not rows:
         raise ShapeError("stack_rows needs at least one row")
-    width = rows[0].data.shape
-    for r in rows:
-        if r.data.ndim != 1 or r.data.shape != width:
-            raise ShapeError(f"stack_rows: row shapes {width} and {r.data.shape} differ")
+    blocks = [np.atleast_2d(r.data) for r in rows]
+    for r, b in zip(rows, blocks):
+        if r.data.ndim not in (1, 2) or b.shape[1:] != blocks[0].shape[1:]:
+            raise ShapeError(f"stack_rows: row shapes {rows[0].shape} and {r.shape} differ")
+    splits = np.cumsum([b.shape[0] for b in blocks])[:-1]
 
     def backward(g):
-        for i, r in enumerate(rows):
-            _accum(r, g[i])
+        for r, part in zip(rows, np.split(g, splits)):
+            _accum(r, part.reshape(r.data.shape))
 
-    return _result(np.stack([r.data for r in rows]), rows, "stack_rows", backward)
-
-
-def sub_col(a: Tensor, v: Tensor) -> Tensor:
-    """Subtract v[i] from every entry of row i of a matrix."""
-    if a.data.ndim != 2 or v.data.ndim != 1 or a.data.shape[0] != v.data.shape[0]:
-        raise ShapeError(f"sub_col: shapes {a.shape} and {v.shape} do not line up")
-
-    def backward(g):
-        _accum(a, g)
-        _accum(v, -g.sum(axis=1))
-
-    return _result(a.data - v.data[:, None], (a, v), "sub_col", backward)
-
-
-def reduce_max_rows(a: Tensor) -> Tensor:
-    """Per-row maximum of a matrix; gradient to the first argmax of each row."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"reduce_max_rows needs a matrix, got shape {a.shape}")
-    idx = a.data.argmax(axis=1)
-    n = a.data.shape[0]
-
-    def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[np.arange(n), idx] = g
-            _accum(a, buf)
-
-    return _result(a.data[np.arange(n), idx], (a,), "reduce_max_rows", backward)
-
-
-def reduce_sum_rows(a: Tensor) -> Tensor:
-    """Per-row sum of a matrix."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"reduce_sum_rows needs a matrix, got shape {a.shape}")
-
-    def backward(g):
-        _accum(a, np.broadcast_to(g[:, None], a.data.shape))
-
-    return _result(a.data.sum(axis=1), (a,), "reduce_sum_rows", backward)
+    return _result(np.concatenate(blocks), rows, "stack_rows", backward)
 
 
 def dropout(a: Tensor, p: float, seed, training: bool = True) -> Tensor:
@@ -312,15 +316,21 @@ def dropout(a: Tensor, p: float, seed, training: bool = True) -> Tensor:
 
     Returns ``a`` itself when ``training`` is false or ``p == 0``.  The mask
     is a pure function of ``seed`` (an int or tuple of ints), so repeated
-    calls with the same seed reproduce the same mask bit-for-bit.
+    calls with the same seed reproduce the same mask bit-for-bit.  A list of
+    seeds, one per row of ``a``, draws each row's mask as it would alone.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return a
 
-    rng = np.random.default_rng(seed)
-    keep = rng.random(a.shape) >= p
+    if isinstance(seed, list):
+        if len(seed) != a.shape[0]:
+            raise ShapeError(f"dropout: {len(seed)} row seeds for shape {a.shape}")
+        draws = np.stack([np.random.default_rng(s).random(a.shape[1:]) for s in seed])
+    else:
+        draws = np.random.default_rng(seed).random(a.shape)
+    keep = draws >= p
     factor = 1.0 / (1.0 - p)
 
     def backward(g):
@@ -329,36 +339,48 @@ def dropout(a: Tensor, p: float, seed, training: bool = True) -> Tensor:
     return _result(a.data * keep * factor, (a,), "dropout", backward)
 
 
+def subkey(key, *site):
+    """A dropout key extended by a site id; a list of row keys extends each one."""
+    return [k + site for k in key] if isinstance(key, list) else key + site
+
+
 # ---------------------------------------------------------------------------
 # shape and indexing ops
 # ---------------------------------------------------------------------------
 
 def take_row(a: Tensor, index: int) -> Tensor:
-    """Row ``index`` of a 2-d tensor as a vector; gradient scatters back to that row."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_row needs a 2-d tensor, got shape {a.shape}")
+    """Row ``index`` of the last two axes, ([N,] T, d) -> ([N,] d); gradient scatters back."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"take_row needs a 2-d or 3-d tensor, got shape {a.shape}")
     index = int(index)
 
     def backward(g):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
-            buf[index] += g
+            buf[..., index, :] = g
             _accum(a, buf)
 
-    return _result(a.data[index].copy(), (a,), "take_row", backward)
+    return _result(a.data[..., index, :].copy(), (a,), "take_row", backward)
 
 
-def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of a 2-d tensor (repeats allowed); gradients scatter-add back."""
+def take_rows(a: Tensor, indices) -> Tensor:
+    """Gather rows of a 2-d tensor by an index array of any shape; gradients scatter-add
+    back, per entry of the first axis of a 2-d ``indices`` (one sequence each)."""
     if a.data.ndim != 2:
         raise ShapeError(f"take_rows needs a 2-d tensor, got shape {a.shape}")
     idx = np.asarray(indices, dtype=np.int64)
+    seqs = idx.reshape(idx.shape[0] if idx.ndim > 1 else 1, -1)
 
     def backward(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            _accum(a, buf)
+            rows = g.reshape(*seqs.shape, a.data.shape[1])
+
+            def part(k):
+                buf = np.zeros_like(a.data)
+                np.add.at(buf, seqs[k], rows[k])
+                return buf
+
+            _accum(a, sum_examples(len(seqs), part))
 
     return _result(a.data[idx], (a,), "take_rows", backward)
 
@@ -391,17 +413,43 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return reduce_sum(mul(a, b))
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map ``weight @ x + bias`` of a vector (in,) or of each row of (N, in).
+
+    Each row is its own matrix-vector product, and the weight and bias
+    gradients sum over rows with ``sum_examples``.
+    """
+    if (x.data.ndim not in (1, 2) or weight.data.ndim != 2 or x.shape[-1] != weight.shape[1]
+            or bias.shape != weight.shape[:1]):
+        raise ShapeError(f"linear: shapes {x.shape}, {weight.shape}, {bias.shape} do not line up")
+    rows = x.data.reshape(-1, weight.shape[1])
+
+    def backward(g):
+        g2 = g.reshape(-1, weight.shape[0])
+        _accum(x, np.matmul(weight.data.T, g[..., None])[..., 0])
+        _accum(weight, sum_examples(len(rows), lambda k: np.outer(g2[k], rows[k])))
+        _accum(bias, sum_examples(len(rows), lambda k: g2[k]))
+
+    out = np.matmul(weight.data, x.data[..., None])[..., 0] + bias.data
+    return _result(out, (x, weight, bias), "linear", backward)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of matching rows, one BLAS dot each, as (..., 1)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+
+
 def l2_normalize(a: Tensor) -> Tensor:
-    """x / ||x||_2 for a vector; errors if the norm is below NORM_EPSILON."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"l2_normalize needs a vector, got shape {a.shape}")
-    norm = float(np.linalg.norm(a.data))
-    if norm <= NORM_EPSILON:
-        raise DegenerateInputError(f"l2_normalize: norm {norm:.3e} is too close to zero")
+    """x / ||x||_2 of a vector or of each matrix row; a norm <= NORM_EPSILON is an error."""
+    if a.data.ndim not in (1, 2):
+        raise ShapeError(f"l2_normalize needs a vector or a matrix, got shape {a.shape}")
+    norm = np.sqrt(_row_dots(a.data, a.data))
+    if norm.min() <= NORM_EPSILON:
+        raise DegenerateInputError(f"l2_normalize: norm {norm.min():.3e} is too close to zero")
     out = a.data / norm
 
     def backward(g):
-        _accum(a, (g - out * float(out @ g)) / norm)
+        _accum(a, (g - out * _row_dots(out, g)) / norm)
 
     return _result(out, (a,), "l2_normalize", backward)
 
@@ -410,105 +458,123 @@ def l2_normalize(a: Tensor) -> Tensor:
 # spatial ops
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Strided 2-d cross-correlation (no kernel flip).
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
+           bias: Tensor | None = None, relu: bool = False) -> Tensor:
+    """Strided 2-d cross-correlation (no kernel flip), with an optional per-channel
+    ``bias`` (Cout,) and ReLU fused into the same node.
 
-    ``x`` is (Cin, H, W), ``kernel`` is (Cout, Cin, kh, kw).  Output spatial
-    size is floor((H + 2*pad - kh)/stride) + 1 (same for W); a zero-size
-    output raises ShapeError.
+    ``x`` is a channel-major batch (Cin, N, H, W) or one image (Cin, H, W), and
+    ``kernel`` (Cout, Cin, kh, kw); the output keeps the layout.  Each image's
+    patches are gathered (im2col) and multiplied by the kernel on their own, one
+    GEMM per image into the batch's output: BLAS may round one wide GEMM
+    differently, and a one-image patch matrix stays small.  The kernel gradient
+    gathers the patches again instead of keeping them alive.  Output spatial size is
+    floor((H + 2*pad - kh)/stride) + 1 (same for W); a zero-size output raises
+    ShapeError.
     """
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d: need (Cin,H,W) and (Cout,Cin,kh,kw), got {x.shape} and {kernel.shape}")
+    if x.data.ndim not in (3, 4) or kernel.data.ndim != 4:
+        raise ShapeError(f"conv2d: need (Cin,[N,]H,W) and (Cout,Cin,kh,kw), got {x.shape} "
+                         f"and {kernel.shape}")
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
     if pad < 0:
         raise ValueError(f"conv2d: pad must be >= 0, got {pad}")
-    cin, h, w = x.data.shape
+    cin, *batch, h, w = x.data.shape
     cout, cin_k, kh, kw = kernel.data.shape
     if cin != cin_k:
         raise ShapeError(f"conv2d: input channels {x.shape} do not match kernel {kernel.shape}")
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"conv2d: bias {bias.shape} does not match kernel {kernel.shape}")
     h_out = (h + 2 * pad - kh) // stride + 1
     w_out = (w + 2 * pad - kw) // stride + 1
     if h + 2 * pad < kh or w + 2 * pad < kw or h_out < 1 or w_out < 1:
         raise ShapeError(f"conv2d: kernel {kernel.shape} exceeds padded input {x.shape} (pad={pad})")
+    n = batch[0] if batch else 1
+    images = x.data.reshape(cin, n, h, w)
+    k2 = kernel.data.reshape(cout, -1)
 
-    if pad:
-        xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-        xp[:, pad:pad + h, pad:pad + w] = x.data
-    else:
-        xp = x.data
-    # im2col: gather one strided view per kernel offset.
-    cols = np.empty((cin, kh, kw, h_out, w_out), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
-    cols2 = cols.reshape(cin * kh * kw, h_out * w_out)
-    k2 = kernel.data.reshape(cout, cin * kh * kw)
-    out = (k2 @ cols2).reshape(cout, h_out, w_out)
+    def patches(k: int) -> np.ndarray:
+        # im2col of image k: one strided view of its zero-padded copy per kernel offset.
+        xp = images[:, k]
+        if pad:
+            xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+            xp[:, pad:pad + h, pad:pad + w] = images[:, k]
+        cols = np.empty((cin, kh, kw, h_out, w_out), dtype=np.float64)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+        return cols.reshape(cin * kh * kw, h_out * w_out)
+
+    out = np.empty((cout, n, h_out * w_out))
+    for k in range(n):
+        np.matmul(k2, patches(k), out=out[:, k])
+    if bias is not None:
+        out += bias.data[:, None, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)   # maximum, not where: NaN propagates
 
     def backward(g):
-        g2 = g.reshape(cout, h_out * w_out)
+        g = g.reshape(out.shape)
+        if relu:
+            g = g * (out > 0.0)
+        if bias is not None:
+            _accum(bias, sum_examples(n, lambda k: g[:, k].sum(axis=1)))
         if kernel.requires_grad:
-            _accum(kernel, (g2 @ cols2.T).reshape(kernel.data.shape))
+            _accum(kernel, sum_examples(n, lambda k: g[:, k] @ patches(k).T
+                                        ).reshape(kernel.data.shape))
         if x.requires_grad:
-            gcols = (k2.T @ g2).reshape(cin, kh, kw, h_out, w_out)
-            gxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += gcols[:, i, j]
-            _accum(x, gxp[:, pad:pad + h, pad:pad + w] if pad else gxp)
+            gx = np.empty((cin, n, h, w), dtype=np.float64)
+            for k in range(n):
+                gcols = (k2.T @ g[:, k]).reshape(cin, kh, kw, h_out, w_out)
+                gxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += (
+                            gcols[:, i, j])
+                gx[:, k] = gxp[:, pad:pad + h, pad:pad + w]
+            _accum(x, gx.reshape(x.data.shape))
 
-    return _result(out, (x, kernel), "conv2d", backward)
-
-
-def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-channel bias (C,) to a (C, h, w) stack."""
-    if x.data.ndim != 3 or bias.data.ndim != 1 or x.data.shape[0] != bias.data.shape[0]:
-        raise ShapeError(f"add_channel_bias: shapes {x.shape} and {bias.shape} do not line up")
-
-    def backward(g):
-        _accum(x, g)
-        _accum(bias, g.sum(axis=(1, 2)))
-
-    return _result(x.data + bias.data[:, None, None], (x, bias), "add_channel_bias", backward)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _result(out.reshape(cout, *batch, h_out, w_out), parents, "conv2d", backward)
 
 
 def spatial_max_min(x: Tensor) -> Tensor:
-    """Per-channel max + min over the spatial grid: (C, h, w) -> (C,).
+    """Per-channel max + min over the spatial grid: (C, h, w) -> (C,), (C, N, h, w) -> (N, C).
 
     The backward pass routes a unit of gradient to the argmax cell and a
     unit to the argmin cell of each channel; ties go to the first cell in
     row-major order (a constant map therefore gets 2x on its first cell).
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"spatial_max_min needs (C,h,w), got shape {x.shape}")
-    c = x.data.shape[0]
-    flat = x.data.reshape(c, -1)
+    if x.data.ndim not in (3, 4):
+        raise ShapeError(f"spatial_max_min needs (C,[N,]h,w), got shape {x.shape}")
+    lead = x.data.shape[:-2]
+    flat = x.data.reshape(int(np.prod(lead)), -1)
+    rows = np.arange(flat.shape[0])
     imax = flat.argmax(axis=1)
     imin = flat.argmin(axis=1)
-    out = flat[np.arange(c), imax] + flat[np.arange(c), imin]
+    out = (flat[rows, imax] + flat[rows, imin]).reshape(lead).T
 
     def backward(g):
         if x.requires_grad:
+            g = g.T.reshape(-1)
             buf = np.zeros_like(flat)
-            np.add.at(buf, (np.arange(c), imax), g)
-            np.add.at(buf, (np.arange(c), imin), g)
+            buf[rows, imax] = g
+            buf[rows, imin] += g
             _accum(x, buf.reshape(x.data.shape))
 
     return _result(out, (x,), "spatial_max_min", backward)
 
 
 def spatial_mean(x: Tensor) -> Tensor:
-    """Per-channel mean over the spatial grid: (C, h, w) -> (C,)."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"spatial_mean needs (C,h,w), got shape {x.shape}")
-    _, h, w = x.data.shape
-    area = h * w
+    """Per-channel mean over the spatial grid: (C, h, w) -> (C,), (C, N, h, w) -> (N, C)."""
+    if x.data.ndim not in (3, 4):
+        raise ShapeError(f"spatial_mean needs (C,[N,]h,w), got shape {x.shape}")
+    area = x.data.shape[-2] * x.data.shape[-1]
 
     def backward(g):
-        _accum(x, np.broadcast_to(g[:, None, None] / area, x.data.shape))
+        _accum(x, np.broadcast_to(g.T[..., None, None] / area, x.data.shape))
 
-    return _result(x.data.mean(axis=(1, 2)), (x,), "spatial_mean", backward)
+    return _result(x.data.mean(axis=(-2, -1)).T, (x,), "spatial_mean", backward)
 
 
 # ---------------------------------------------------------------------------

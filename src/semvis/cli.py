@@ -29,8 +29,9 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
+from .autodiff import no_grad
 from .data import CELLS, Dataset, SceneConfig, generate_dataset, read_dataset, write_dataset
-from .errors import DegenerateInputError
+from .errors import CheckpointError, DegenerateInputError
 from .evaluate import RetrievalReport, eval_pointing, eval_retrieval
 from .localize import LocalizationConfig, activation_maps, heatmap, point, render_heatmap
 from .model import Model, ModelConfig, coerce_setting, setting_type
@@ -39,6 +40,7 @@ from .text import tokenize
 from .train import (AdamState, TrainSchedule, load_checkpoint, save_checkpoint, train)
 
 SEED_DEFAULT = 1
+CORPUS_CHUNK = 64   # images or distinct captions per batched encode in evaluation
 _SETTINGS = (*fields(ModelConfig), *fields(TrainSchedule))
 
 
@@ -85,18 +87,18 @@ def _parse_objects(spec: str) -> tuple[int, int]:
 
 
 def _encode_corpus(model: Model, dataset: Dataset):
-    """Eval-mode embeddings of every image and caption; owners map captions to images."""
-    images, captions, owners = [], [], []
-    text_cache: dict[str, np.ndarray] = {}   # templated captions repeat across scenes
-    for i, scene in enumerate(dataset.scenes):
-        x, _ = model.encode_image(scene.image, training=False)
-        images.append(x.data)
-        for cap in scene.captions:
-            if cap not in text_cache:
-                text_cache[cap] = model.encode_text(cap, training=False).data
-            captions.append(text_cache[cap])
-            owners.append(i)
-    return np.stack(images), np.stack(captions), owners
+    """Untracked eval-mode embeddings, CORPUS_CHUNK per batch; owners map captions to images."""
+    scenes = dataset.scenes
+    texts = list(dict.fromkeys(c for s in scenes for c in s.captions))   # templates repeat
+    with no_grad():
+        images = [model.encode_images([s.image for s in scenes[lo:lo + CORPUS_CHUNK]]).data
+                  for lo in range(0, len(scenes), CORPUS_CHUNK)]
+        distinct = [model.encode_texts(texts[lo:lo + CORPUS_CHUNK]).data
+                    for lo in range(0, len(texts), CORPUS_CHUNK)]
+    row = {text: i for i, text in enumerate(texts)}
+    captions = np.concatenate(distinct)[[row[c] for s in scenes for c in s.captions]]
+    owners = [i for i, s in enumerate(scenes) for _ in s.captions]
+    return np.concatenate(images), captions, owners
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +122,9 @@ def cmd_train(args, parser) -> int:
         bundle = load_checkpoint(args.resume)
         model, state, sched, seed = bundle.model, bundle.opt_state, bundle.schedule, bundle.seed
         start_epoch = bundle.next_epoch
-        if dataset.vocab != model.vocab:
-            print("warning: dataset vocabulary differs from checkpoint vocabulary",
-                  file=sys.stderr)
+        if dataset.vocab != model.vocab:   # token ids would silently mean other words
+            raise CheckpointError(f"{args.resume}: the vocabulary of {args.data} differs "
+                                  "from the checkpoint's; cannot resume on it")
     else:
         cfg, sched, seed = _merge_config(args, parser)
         model = Model.initialize(cfg, dataset.vocab, seed)
@@ -192,9 +194,10 @@ def cmd_localize(args, parser) -> int:
         print(f"warning: every word of {args.text!r} is out of vocabulary; "
               "localizing the <unk> embedding", file=sys.stderr)
 
-    _, stack = model.encode_image(image, training=False)
+    with no_grad():
+        _, stack = model.encode_image(image, training=False)
+        embedding = model.encode_text(token_ids, training=False)
     maps = activation_maps(stack, model.params["proj.weight"])
-    embedding = model.encode_text(token_ids, training=False)
     cfg = LocalizationConfig(top_k=model.cfg.effective_top_k())
     hm = heatmap(maps, embedding, cfg, image.shape[1:], image.shape[1] // maps.shape[1])
     px, py = point(hm)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .errors import ContractError
 from .localize import LocalizationConfig, activation_maps, heatmap, point
 
@@ -46,16 +46,21 @@ class PointingReport:
                 "n": len(self.hits)}
 
 
-def _ranks_of_best_match(sim: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """Per row, the 1-based rank of the best-ranked column owned by that row."""
-    n_rows, _ = sim.shape
-    ranks = np.empty(n_rows, dtype=np.int64)
-    for i in range(n_rows):
-        order = np.argsort(-sim[i], kind="stable")
-        positions = np.nonzero(owners[order] == i)[0]
-        if positions.size == 0:
-            raise ContractError(f"row {i} owns no column")
-        ranks[i] = positions[0] + 1
+_RANK_BLOCK_CELLS = 1 << 18   # bounds the ranking's temporaries at a few MB
+
+
+def _best_match_ranks(sim: np.ndarray, row_owner: np.ndarray, col_owner: np.ndarray):
+    """Per row, the 1-based rank of its best own column (equal owners): as in a stable
+    descending sort, after every higher score and every equal one at a lower index."""
+    ranks = np.empty(sim.shape[0], dtype=np.int64)
+    columns = np.arange(sim.shape[1])
+    step = max(1, _RANK_BLOCK_CELLS // max(1, sim.shape[1]))
+    for lo in range(0, sim.shape[0], step):
+        block = sim[lo:lo + step]
+        best = np.where(col_owner == row_owner[lo:lo + step, None], block, -np.inf
+                        ).argmax(axis=1)[:, None]
+        top = np.take_along_axis(block, best, axis=1)
+        ranks[lo:lo + step] = 1 + ((block > top) | ((block == top) & (columns < best))).sum(1)
     return ranks
 
 
@@ -76,12 +81,9 @@ def eval_retrieval(sim, caption_owner, r_values=(1, 5, 10)) -> tuple[RetrievalRe
     if len(set(owners.tolist())) != n_img:
         raise ContractError("every image must own at least one caption")
 
-    cap_ranks = _ranks_of_best_match(s, owners)
-    # Image side: exactly one correct image per caption.
-    img_ranks = np.empty(n_cap, dtype=np.int64)
-    for j in range(n_cap):
-        order = np.argsort(-s[:, j], kind="stable")
-        img_ranks[j] = int(np.nonzero(order == owners[j])[0][0]) + 1
+    # Caption side: per image, its best own caption; image side: per caption, its image.
+    cap_ranks = _best_match_ranks(s, np.arange(n_img), owners)
+    img_ranks = _best_match_ranks(s.T, owners, np.arange(n_img))
 
     def report(direction: str, ranks: np.ndarray) -> RetrievalReport:
         return RetrievalReport(direction,
@@ -108,19 +110,20 @@ def eval_pointing(model, regions, cfg: LocalizationConfig) -> PointingReport:
     hits = []
     stack_cache: dict[int, tuple] = {}
     text_cache: dict[str, Tensor] = {}   # eval mode: a phrase always embeds the same
-    for image, phrase, bbox in regions:
-        key = id(image)
-        if key not in stack_cache:
-            _, stack = model.encode_image(image, training=False)
-            maps = activation_maps(stack, model.params["proj.weight"])
-            stack_cache[key] = (maps, image.shape[1:])
-        maps, (height, width) = stack_cache[key]
-        if phrase not in text_cache:
-            text_cache[phrase] = model.encode_text(phrase, training=False)
-        embedding = text_cache[phrase]
-        hm = heatmap(maps, embedding, cfg, (height, width), height // maps.shape[1])
-        px, py = point(hm)
-        hits.append(_box_contains(bbox, px, py))
+    with no_grad():
+        for image, phrase, bbox in regions:
+            key = id(image)
+            if key not in stack_cache:
+                _, stack = model.encode_image(image, training=False)
+                maps = activation_maps(stack, model.params["proj.weight"])
+                stack_cache[key] = (maps, image.shape[1:])
+            maps, (height, width) = stack_cache[key]
+            if phrase not in text_cache:
+                text_cache[phrase] = model.encode_text(phrase, training=False)
+            embedding = text_cache[phrase]
+            hm = heatmap(maps, embedding, cfg, (height, width), height // maps.shape[1])
+            px, py = point(hm)
+            hits.append(_box_contains(bbox, px, py))
     accuracy = float(np.mean(hits))
     return PointingReport(accuracy, hits, center_baseline(regions))
 

@@ -37,18 +37,21 @@ class LossConfig:
 
 @dataclass
 class Batch:
-    """Aligned unit-norm embeddings; position n of each list forms a positive pair.
+    """Aligned unit-norm embeddings; row n of ``images`` and of ``captions`` forms a
+    positive pair.  Each side is an (N, d) tensor or a list of N (d,) tensors.
 
     ``image_ids`` mark which entries come from the same underlying image:
     entries with equal ids are excluded from each other's negative sets.
     """
 
-    images: list[Tensor] = field(default_factory=list)
-    captions: list[Tensor] = field(default_factory=list)
+    images: Tensor | list[Tensor] = field(default_factory=list)
+    captions: Tensor | list[Tensor] = field(default_factory=list)
     image_ids: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if not (len(self.images) == len(self.captions) == len(self.image_ids)):
+        rows = [s.shape[0] if isinstance(s, Tensor) else len(s)
+                for s in (self.images, self.captions)]
+        if not rows[0] == rows[1] == len(self.image_ids):
             raise ContractError("images, captions and image_ids must have equal lengths")
 
 
@@ -58,11 +61,12 @@ def batch_loss(batch: Batch, cfg: LossConfig) -> Tensor:
     Per entry n, the caption direction hinges margin - s(x_n, v_n) + s(x_n, v_m)
     over every m whose image id differs from n's, and the image direction
     mirrors it; ``hard`` keeps the max hinge per query (ties to the first
-    index, so gradients are deterministic), ``random`` the mean.  Raises
+    index, so gradients are deterministic), ``random`` the mean.  The loss is
+    one graph node over the two (N, d) embedding matrices.  Raises
     ContractError when any entry has no negatives (fewer than two distinct
     image ids in the batch).
     """
-    n = len(batch.images)
+    n = len(batch.image_ids)
     if n < 2 or len(set(batch.image_ids)) < 2:
         raise ContractError("batch needs at least two entries with distinct image ids")
     ids = np.asarray(batch.image_ids)
@@ -71,23 +75,35 @@ def batch_loss(batch: Batch, cfg: LossConfig) -> Tensor:
         i = int(np.argmin(allowed.any(axis=1)))
         raise ContractError(f"entry {i} has no contrastive partner in the batch")
 
-    images = ad.stack_rows(batch.images)
-    captions = ad.stack_rows(batch.captions)
-    sim = ad.matmul(images, ad.transpose2d(captions))     # sim[i, m] = <x_i, v_m>
-    positives = ad.reduce_sum_rows(ad.mul(images, captions))
-
-    def direction(sim_rows: Tensor) -> Tensor:
-        gaps = ad.add_const(ad.sub_col(sim_rows, positives), cfg.margin)
+    images, captions = (s if isinstance(s, Tensor) else ad.stack_rows(s)
+                        for s in (batch.images, batch.captions))
+    x, v = images.data, captions.data
+    sim = x @ v.T                                         # sim[i, m] = <x_i, v_m>
+    positives = (x * v).sum(axis=1)
+    counts = allowed.sum(axis=1).astype(np.float64)
+    rows = np.arange(n)
+    terms, weights = [], []          # per direction: per-query term, d(term)/d(gap)
+    for sim_rows in (sim, sim.T):    # query: image i, then caption i
+        gaps = (sim_rows - positives[:, None]) + cfg.margin
         if cfg.mining == MINE_HARD:
-            # Exclude same-id entries from the max, then clamp (relu commutes
-            # with max over a set containing at least one real hinge).
-            masked = ad.add(gaps, Tensor(np.where(allowed, 0.0, -np.inf)))
-            return ad.relu(ad.reduce_max_rows(masked))
-        counts = allowed.sum(axis=1).astype(np.float64)
-        kept = ad.mul(ad.relu(gaps), Tensor(allowed.astype(np.float64)))
-        return ad.mul(ad.reduce_sum_rows(kept), Tensor(1.0 / counts))
+            # The max over the allowed gaps, then the clamp (relu commutes with a
+            # max over a set holding at least one real hinge).
+            worst = np.where(allowed, gaps, -np.inf).argmax(axis=1)
+            top = gaps[rows, worst]
+            weight = np.zeros((n, n))
+            weight[rows, worst] = top > 0.0
+            terms.append(np.maximum(top, 0.0))
+        else:
+            weight = (gaps > 0.0) * allowed * (1.0 / counts[:, None])
+            terms.append((np.maximum(gaps, 0.0) * allowed).sum(axis=1) * (1.0 / counts))
+        weights.append(weight)
 
-    caption_terms = direction(sim)                        # query: image i
-    image_terms = direction(ad.transpose2d(sim))          # query: caption i
-    return ad.scale(ad.reduce_sum(ad.add(caption_terms, image_terms)), 1.0 / n)
+    def backward(g, accumulate):
+        caption_w, image_w = (w * (g / n) for w in weights)
+        d_sim = caption_w + image_w.T
+        d_pos = -(caption_w.sum(axis=1) + image_w.sum(axis=1))[:, None]
+        accumulate(images, d_sim @ v + d_pos * v)
+        accumulate(captions, d_sim.T @ x + d_pos * x)
 
+    return ad.fused_op((terms[0] + terms[1]).sum() * (1.0 / n), (images, captions),
+                       "batch_loss", backward)

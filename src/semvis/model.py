@@ -7,6 +7,7 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
+from . import autodiff as ad
 from . import text as text_mod
 from . import visual as vis
 from .autodiff import Tensor
@@ -168,3 +169,30 @@ class Model:
         token_ids = text_mod.tokenize(text, self.vocab) if isinstance(text, str) else list(text)
         return text_mod.encode_text(token_ids, self.params, self.cfg,
                                     training=training, rng_key=rng_key)
+
+    def encode_images(self, images, training: bool = False, rng_keys=None) -> Tensor:
+        """(N, d) embeddings of N uint8 or float (3, H, W) images, one (3, n, H, W)
+        batch per image size; row j's dropout key is ``rng_keys[j]`` in train mode."""
+        return _by_bucket([np.shape(image) for image in images], rng_keys, lambda rows, keys: (
+            vis.encode_image(vis.image_to_tensor(np.stack([images[i] for i in rows], axis=1)),
+                             self.params, self.cfg, training=training, rng_key=keys)[0]))
+
+    def encode_texts(self, texts, training: bool = False, rng_keys=None) -> Tensor:
+        """(N, d) embeddings of N captions (strings or token ids), one batch per length."""
+        ids = [text_mod.tokenize(t, self.vocab) if isinstance(t, str) else list(t) for t in texts]
+        return _by_bucket([len(seq) for seq in ids], rng_keys, lambda rows, keys: (
+            text_mod.encode_text([ids[i] for i in rows], self.params, self.cfg,
+                                 training=training, rng_key=keys)))
+
+
+def _by_bucket(sizes: list, rng_keys, encode) -> Tensor:
+    """``encode(rows, keys)`` once per group of rows of one size, in input order."""
+    buckets: dict = {}
+    for i, size in enumerate(sizes):
+        buckets.setdefault(size, []).append(i)
+    parts = [encode(rows, () if rng_keys is None else [rng_keys[i] for i in rows])
+             for rows in buckets.values()]
+    if len(parts) == 1:
+        return parts[0]
+    order = np.argsort([i for rows in buckets.values() for i in rows])
+    return ad.take_rows(ad.stack_rows(parts), order)

@@ -66,4 +66,6 @@ def _parse_header(path, raw: bytes):
         w, h, maxval = (int(f) for f in fields)
     except ValueError:
         raise ManifestError(0, f"{path}: non-numeric header fields {fields}") from None
+    if w < 1 or h < 1:
+        raise ManifestError(0, f"{path}: image size {w}x{h} is not positive")
     return magic, w, h, maxval, i + 1

@@ -4,7 +4,8 @@ A caption is lowercased, split on whitespace/punctuation and mapped through
 the vocabulary (unknown words become ``<unk>``).  Token vectors then run
 through L recurrent layers whose heavy matrix products depend only on the
 inputs; the last hidden state of the top layer, l2-normalized, is the
-sentence embedding.
+sentence embedding.  Captions of one token length encode together as one
+(n, T, d) batch; a single caption is the same code on a (T, d) sequence.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
-    """Run recurrent layer ``depth`` over a whole (T, in_dim) sequence.
+    """Run recurrent layer ``depth`` over a (T, in_dim) sequence, or over a batch
+    (n, T, in_dim) of equal-length sequences at once.
 
     The layer's tensors are ``sru.{depth}.weight`` (3*hidden, in_dim), which
     stacks the three input transforms row-wise: candidate rows [0, H),
@@ -98,66 +100,69 @@ def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
         c_t = f * c_prev + (1 - f) * candidate
         h_t = r * tanh(c_t) + (1 - r) * x_hat        (x_hat = x_t, or proj @ x_t)
 
-    The layer executes as a single graph node: the heavy input transforms
-    batch into one matrix product and only the elementwise carry recurrence
-    loops over time (the test suite checks it against an op-by-op cell).
+    The layer is one graph node: the input transforms of every step of a
+    sequence are one matrix product, and only the elementwise carry
+    recurrence, vectorized over the batch, loops over time (checked against
+    an op-by-op cell).  A batch runs each sequence's products as a sequence of
+    its own would, and sums the parameter gradients with ``sum_examples``.
     """
     prefix = f"sru.{depth}."
     weight, bias_f, bias_r = (params[prefix + n] for n in ("weight", "bias_f", "bias_r"))
     proj = params.get(prefix + "proj")
     hidden = bias_f.shape[0]
-    if x_seq.data.ndim != 2:
-        raise ShapeError(f"sru_layer needs a (T, in_dim) sequence, got {x_seq.shape}")
-    t_len, in_dim = x_seq.data.shape
+    if x_seq.data.ndim not in (2, 3):
+        raise ShapeError(f"sru_layer needs a ([n,] T, in_dim) sequence, got {x_seq.shape}")
+    *lead, t_len, in_dim = x_seq.data.shape
     if proj is None and in_dim != hidden:
         raise ShapeError(f"sru_layer: input width {in_dim} needs a projection onto {hidden}")
 
-    x = x_seq.data
-    wx = x @ weight.data.T                     # (T, 3H)
-    cand = wx[:, :hidden]
-    f = _stable_sigmoid(wx[:, hidden:2 * hidden] + bias_f.data)
-    r = _stable_sigmoid(wx[:, 2 * hidden:] + bias_r.data)
-    c = np.empty((t_len, hidden))
-    prev = np.zeros(hidden)
+    x = x_seq.data.reshape(-1, t_len, in_dim)  # (n, T, in): [k] is sequence k, [:, t] step t
+    n_seq = len(x)
+    wx = np.matmul(x, weight.data.T)           # one (T, 3H) product per sequence
+    cand = wx[..., :hidden]
+    gates = _stable_sigmoid(wx[..., hidden:] + np.concatenate([bias_f.data, bias_r.data]))
+    f, r = gates[..., :hidden], gates[..., hidden:]
+    kept = (1.0 - f) * cand
+    c = np.empty(f.shape)
+    prev = np.zeros((n_seq, hidden))
     for t in range(t_len):
-        prev = f[t] * prev + (1.0 - f[t]) * cand[t]
-        c[t] = prev
+        prev = f[:, t] * prev + kept[:, t]
+        c[:, t] = prev
     tc = np.tanh(c)
-    x_hat = x if proj is None else x @ proj.data.T
+    x_hat = x if proj is None else np.matmul(x, proj.data.T)
     h = r * tc + (1.0 - r) * x_hat
 
     def backward(g, accumulate):
+        g = g.reshape(f.shape)
         d_tc = g * r
         d_r = g * (tc - x_hat)
         d_xh = g * (1.0 - r)
         d_c = d_tc * (1.0 - tc * tc)
-        d_cand = np.empty_like(cand)
-        d_f = np.empty_like(f)
-        carry = np.zeros(hidden)
-        for t in range(t_len - 1, -1, -1):
-            dc_t = d_c[t] + carry
-            c_prev = c[t - 1] if t > 0 else np.zeros(hidden)
-            d_f[t] = dc_t * (c_prev - cand[t])
-            d_cand[t] = dc_t * (1.0 - f[t])
-            carry = dc_t * f[t]
+        carry = np.zeros((n_seq, hidden))
+        for t in range(t_len - 1, -1, -1):   # d_c becomes the total gradient of each c_t
+            d_c[:, t] += carry
+            carry = d_c[:, t] * f[:, t]
+        c_prev = np.concatenate([np.zeros((n_seq, 1, hidden)), c[:, :-1]], axis=1)
+        d_f = d_c * (c_prev - cand)
+        d_cand = d_c * (1.0 - f)
         d_af = d_f * f * (1.0 - f)
         d_ar = d_r * r * (1.0 - r)
-        d_wx = np.concatenate([d_cand, d_af, d_ar], axis=1)
-        accumulate(weight, d_wx.T @ x)
-        accumulate(bias_f, d_af.sum(axis=0))
-        accumulate(bias_r, d_ar.sum(axis=0))
-        d_x = d_wx @ weight.data
+        d_wx = np.concatenate([d_cand, d_af, d_ar], axis=2)
+        accumulate(weight, ad.sum_examples(n_seq, lambda k: d_wx[k].T @ x[k]))
+        accumulate(bias_f, ad.sum_examples(n_seq, lambda k: d_af[k].sum(axis=0)))
+        accumulate(bias_r, ad.sum_examples(n_seq, lambda k: d_ar[k].sum(axis=0)))
+        d_x = np.matmul(d_wx, weight.data)
         if proj is None:
             d_x = d_x + d_xh
         else:
-            accumulate(proj, d_xh.T @ x)
-            d_x = d_x + d_xh @ proj.data
-        accumulate(x_seq, d_x)
+            accumulate(proj, ad.sum_examples(n_seq, lambda k: d_xh[k].T @ x[k]))
+            d_x = d_x + np.matmul(d_xh, proj.data)
+        accumulate(x_seq, d_x.reshape(x_seq.data.shape))
 
     parents = [x_seq, weight, bias_f, bias_r]
     if proj is not None:
         parents.append(proj)
-    return ad.fused_op(h, parents, "sru_layer", backward)
+    return ad.fused_op(h.reshape(*lead, t_len, hidden), parents, "sru_layer", backward)
 
 
 # Dropout key offset, so every dropout site in the network draws an
@@ -165,21 +170,23 @@ def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
 TEXT_DROPOUT_ID = 2
 
 
-def encode_text(token_ids: Sequence[int], params: dict, cfg: ModelConfig,
-                training: bool = False, rng_key: tuple = ()) -> Tensor:
-    """Embed a token sequence as a unit vector.
+def encode_text(token_ids, params: dict, cfg: ModelConfig,
+                training: bool = False, rng_key: tuple | list = ()) -> Tensor:
+    """Embed a token sequence (T,) as a unit vector, or n of them (n, T) as (n, d)
+    rows, each row's dropout under its key in the list ``rng_key``.
 
     Looks the tokens up in ``word.table``, runs the ``cfg.sru_layers`` stacked
     recurrent layers with a zero carry per layer, applies inter-layer dropout
     to each hidden sequence that feeds the next layer (train mode only), takes
     the top layer's last hidden state and l2-normalizes it.
     """
-    if len(token_ids) == 0:
+    ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.size == 0:
         raise DegenerateInputError("cannot encode an empty token sequence")
-    seq = ad.take_rows(params["word.table"], list(token_ids))
+    seq = ad.take_rows(params["word.table"], ids)
     for depth in range(cfg.sru_layers):
         seq = sru_layer(seq, params, depth)
         if training and cfg.sru_dropout > 0.0 and depth < cfg.sru_layers - 1:
-            seq = ad.dropout(seq, cfg.sru_dropout, rng_key + (TEXT_DROPOUT_ID, depth),
+            seq = ad.dropout(seq, cfg.sru_dropout, ad.subkey(rng_key, TEXT_DROPOUT_ID, depth),
                              training=True)
-    return ad.l2_normalize(ad.take_row(seq, len(token_ids) - 1))
+    return ad.l2_normalize(ad.take_row(seq, -1))

@@ -1,7 +1,11 @@
 """Training loop: Adam, staged unfreezing, halving learning rate, checkpoints.
 
-The text encoder, the word table and the final projection train from epoch
-zero; the rest of the image pipeline joins after ``freeze_epochs``.  A frozen
+Each batch is one graph: its images encode as one channel-major
+(3, N, H, W) stack, its captions as one (n, T) batch per token length, and
+the ranking loss takes the two (N, d) embedding matrices.  When the batch
+is one image size and one token length, as on generated data, it trains bit
+for bit like one graph per image and per caption.  The text encoder, the word table and the final projection train from epoch zero;
+the rest of the image pipeline joins after ``freeze_epochs``.  A frozen
 tensor is not tracked during the epoch (``train_epoch`` clears its
 ``requires_grad`` and restores it afterwards), so the graph records no op
 whose inputs are all frozen and back-propagation stops at ``proj.*``.  The
@@ -153,9 +157,9 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
             idxs = order[start:start + sched.batch_size]
             if len(idxs) < 2 or len(set(int(i) for i in idxs)) < 2:
                 continue
-            images, captions, ids = [], [], []
+            scenes, captions = [], []
             taken: set[str] = set()
-            for j, scene_idx in enumerate(idxs):
+            for scene_idx in idxs:
                 scene = dataset.scenes[int(scene_idx)]
                 # Template captions repeat across scenes ("a red circle" belongs to
                 # every scene with a red circle), and a duplicate owned by another
@@ -169,13 +173,12 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
                     if cap not in taken:
                         break
                 taken.add(cap)
-                key = (seed, epoch, step, j)
-                x, _ = model.encode_image(scene.image, training=True, rng_key=key)
-                v = model.encode_text(cap, training=True, rng_key=key)
-                images.append(x)
-                captions.append(v)
-                ids.append(scene.scene_id)
-            loss = batch_loss(Batch(images, captions, ids), loss_cfg)
+                scenes.append(scene)
+                captions.append(cap)
+            keys = [(seed, epoch, step, j) for j in range(len(scenes))]
+            images = model.encode_images([s.image for s in scenes], training=True, rng_keys=keys)
+            texts = model.encode_texts(captions, training=True, rng_keys=keys)
+            loss = batch_loss(Batch(images, texts, [s.scene_id for s in scenes]), loss_cfg)
             value = loss.item()
             if not math.isfinite(value):
                 raise ArithmeticError(

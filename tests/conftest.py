@@ -1,5 +1,8 @@
-"""Shared helpers: plain-numpy oracles kept independent of the autodiff path, and
-op-by-op reference versions of fused library kernels, built on ``ad.fused_op``."""
+"""Shared helpers: plain-numpy oracles kept independent of the autodiff path,
+op-by-op reference versions of fused library kernels, built on ``ad.fused_op``,
+and the per-example training epoch that the batched one is checked against."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +10,11 @@ import pytest
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import ShapeError
+from semvis.loss import Batch, LossConfig, batch_loss
 from semvis.model import Model, ModelConfig
 from semvis.text import Vocab, _stable_sigmoid
+from semvis.train import (_EPOCH_SALT, _training_captions, adam_step, effective_lr,
+                          trainable_set)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +57,21 @@ def stack1d(parts):
             acc(p, g[i])
 
     return ad.fused_op(np.array([p.data for p in parts]), parts, "stack1d", backward)
+
+
+def scale(a, c):
+    """``a`` times the constant ``c``."""
+    return ad.fused_op(a.data * float(c), [a], "scale", lambda g, acc: acc(a, g * float(c)))
+
+
+def add_channel_bias(x, bias):
+    """Add a per-channel bias (C,) to a (C, [N,] h, w) stack (``conv2d`` fuses it)."""
+    if x.data.ndim not in (3, 4) or bias.data.shape != x.data.shape[:1]:
+        raise ShapeError(f"add_channel_bias: shapes {x.shape} and {bias.shape} do not line up")
+    axes = tuple(range(1, x.data.ndim))
+    shaped = bias.data.reshape(-1, *(1,) * len(axes))
+    return ad.fused_op(x.data + shaped, [x, bias], "add_channel_bias",
+                       lambda g, acc: (acc(x, g), acc(bias, g.sum(axis=axes))))
 
 
 def reduce_max(a):
@@ -143,6 +164,17 @@ def naive_conv2d(x, kernel, stride, pad):
     return out
 
 
+def argsort_retrieval_ranks(sim, owners):
+    """Caption-side and image-side best-match ranks by one stable descending
+    ``argsort`` per row and per column."""
+    sim, owners = np.asarray(sim, dtype=np.float64), np.asarray(owners)
+    cap_ranks = [int(np.nonzero(owners[np.argsort(-row, kind="stable")] == i)[0][0]) + 1
+                 for i, row in enumerate(sim)]
+    img_ranks = [int(np.nonzero(np.argsort(-sim[:, j], kind="stable") == owners[j])[0][0]) + 1
+                 for j in range(sim.shape[1])]
+    return cap_ranks, img_ranks
+
+
 def brute_force_rank(scores, target_is_match):
     """1-based rank of the best-ranked matching column, by pairwise counting
     (strictly greater scores rank earlier; equal scores at lower index too)."""
@@ -185,6 +217,53 @@ def enumerate_batch_loss(images, captions, ids, margin, mining):
         else:
             total += sum(cap) / len(cap) + sum(img) / len(img)
     return total / n
+
+
+def per_example_train_epoch(model, dataset, sched, state, epoch, seed):
+    """``train.train_epoch`` with one graph per image and per caption: the same
+    shuffle, caption draws, dropout keys, frozen set and Adam steps, and a
+    ``Batch`` of per-example embeddings."""
+    loss_cfg = LossConfig(model.cfg.margin, model.cfg.mining)
+    rng = np.random.default_rng((seed, _EPOCH_SALT, epoch))
+    appearances = np.repeat(np.arange(len(dataset.scenes)),
+                            [len(s.captions) for s in dataset.scenes])
+    order = appearances[rng.permutation(len(appearances))]
+    lr = effective_lr(epoch, sched)
+    names = trainable_set(epoch, sched, model.params)
+    frozen = [p for n, p in model.params.items() if n not in names and p.requires_grad]
+    for p in frozen:
+        p.requires_grad = False
+    try:
+        losses = []
+        for step, start in enumerate(range(0, len(order), sched.batch_size)):
+            idxs = order[start:start + sched.batch_size]
+            if len(idxs) < 2 or len(set(int(i) for i in idxs)) < 2:
+                continue
+            images, captions, ids = [], [], []
+            taken = set()
+            for j, scene_idx in enumerate(idxs):
+                scene = dataset.scenes[int(scene_idx)]
+                pool = _training_captions(scene)
+                for _ in range(8):
+                    cap = pool[int(rng.integers(0, len(pool)))]
+                    if cap not in taken:
+                        break
+                taken.add(cap)
+                key = (seed, epoch, step, j)
+                images.append(model.encode_image(scene.image, training=True, rng_key=key)[0])
+                captions.append(model.encode_text(cap, training=True, rng_key=key))
+                ids.append(scene.scene_id)
+            loss = batch_loss(Batch(images, captions, ids), loss_cfg)
+            value = loss.item()
+            assert math.isfinite(value)
+            loss.backward()
+            adam_step(model.params, state, lr, names)
+            ad.zero_grads(model.params.values())
+            losses.append(value)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
+    return float(np.mean(losses))
 
 
 MICRO_CONFIG = dict(backbone_channels=4, hidden_channels=(2, 3, 3), adapt_channels=5,

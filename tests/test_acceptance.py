@@ -12,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (MICRO_CONFIG, enumerate_batch_loss, oracle_retrieval_ranks, sru_cell,
-                      triplet_hinge)
+from conftest import (MICRO_CONFIG, add_channel_bias, enumerate_batch_loss,
+                      oracle_retrieval_ranks, sru_cell, triplet_hinge)
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.data import generate_dataset
@@ -165,9 +165,9 @@ def _reference_micro_batch(seed=7):
         for image in images:
             out = vis.image_to_tensor(np.asarray(image))
             for i in range(len(model.cfg.hidden_channels) + 1):
-                pre = ad.add_channel_bias(ad.conv2d(out, model.params[f"backbone.{i}.kernel"],
-                                                    stride=2, pad=1),
-                                          model.params[f"backbone.{i}.bias"])
+                pre = add_channel_bias(ad.conv2d(out, model.params[f"backbone.{i}.kernel"],
+                                                 stride=2, pad=1),
+                                       model.params[f"backbone.{i}.bias"])
                 relu_margin = min(relu_margin, np.abs(pre.data).min())
                 out = ad.relu(pre)
             stack = vis.adapt(out, model.params)

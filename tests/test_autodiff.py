@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reduce_max, sigmoid, slice_rows, stack1d, tanh
+from conftest import add_channel_bias, reduce_max, scale, sigmoid, slice_rows, stack1d, tanh
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import DegenerateInputError, GraphError, ShapeError
@@ -260,7 +260,7 @@ class TestBackward:
         assert y.grad is None   # interior gradients are released after use
         x.grad = None
         with pytest.raises(GraphError):
-            ad.reduce_sum(ad.scale(y, 0.0)).backward()
+            ad.reduce_sum(scale(y, 0.0)).backward()
         assert x.grad is None
 
     def test_gradients_accumulate_across_graphs(self):
@@ -320,7 +320,7 @@ class TestReductionsAndIndexing:
     def test_add_channel_bias_gradient(self):
         x = randt(30, 3, 2, 2)
         b = randt(31, 3)
-        err = ad.grad_check(lambda: ad.reduce_sum(ad.add_channel_bias(x, b)), [x, b])
+        err = ad.grad_check(lambda: ad.reduce_sum(add_channel_bias(x, b)), [x, b])
         assert err < 1e-9
 
     def test_spatial_mean_matches_numpy(self):
@@ -345,9 +345,97 @@ class TestGradCheckHarness:
         w = Tensor(rng.uniform(-1.0, 1.0, size=(3, 2)), requires_grad=True)
 
         def f():
-            conv = ad.add_channel_bias(ad.conv2d(x, k, stride=1, pad=1), b)
+            conv = add_channel_bias(ad.conv2d(x, k, stride=1, pad=1), b)
             pooled = ad.spatial_max_min(tanh(conv))
             proj = ad.matmul(w, sigmoid(pooled))
             return ad.reduce_sum(ad.mul(ad.l2_normalize(proj), ad.relu(proj)))
 
         assert ad.grad_check(f, [x, k, b, w]) < 1e-4
+
+
+class TestNoGrad:
+    def test_results_inside_the_scope_have_no_parents(self):
+        x = randt(40, 3, 2)
+        with ad.no_grad():
+            out = ad.reduce_sum(ad.relu(ad.mul(x, x)))
+        assert out._parents == () and out._backward is None and not out.requires_grad
+
+    def test_gradients_flow_again_after_the_scope(self):
+        x = randt(41, 4)
+        with ad.no_grad():
+            ad.reduce_sum(x)
+        ad.reduce_sum(scale(x, 3.0)).backward()
+        np.testing.assert_array_equal(x.grad, np.full(4, 3.0))
+
+    def test_scope_is_restored_when_it_raises(self):
+        x = randt(42, 2)
+        with pytest.raises(ShapeError), ad.no_grad():
+            ad.add(x, randt(43, 3))
+        assert ad.reduce_sum(x).requires_grad
+
+
+class TestBatchedKernels:
+    """The channel-major (C, N, H, W) forms of the image ops and the row-wise ops."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("kernel_side,stride,pad", [(3, 2, 1), (1, 1, 0)])
+    def test_fused_conv_gradient(self, n, relu, kernel_side, stride, pad):
+        x = randt(50, 2, n, 5, 6)
+        k = randt(51, 3, 2, kernel_side, kernel_side)
+        b = randt(52, 3)
+        w = Tensor(np.random.default_rng(53).normal(
+            size=ad.conv2d(x, k, stride, pad).shape))
+        err = ad.grad_check(
+            lambda: ad.reduce_sum(ad.mul(ad.conv2d(x, k, stride, pad, bias=b, relu=relu), w)),
+            [x, k, b])
+        # The loss is near 13, so central differences carry ~1e-9 of rounding
+        # noise, and the smallest gradient entries (~3e-4) check to a few 1e-6.
+        assert err < 1e-5
+
+    def test_fused_conv_equals_conv_bias_relu(self):
+        x, k, b = randt(54, 2, 3, 6, 6), randt(55, 4, 2, 3, 3), randt(56, 4)
+        fused = ad.conv2d(x, k, 2, 1, bias=b, relu=True).data
+        want = ad.relu(add_channel_bias(ad.conv2d(x, k, 2, 1), b)).data
+        np.testing.assert_array_equal(fused, want)
+
+    def test_batched_conv_rows_equal_single_images(self):
+        x, k, b = randt(57, 2, 3, 8, 8), randt(58, 4, 2, 3, 3), randt(59, 4)
+        batched = ad.conv2d(x, k, 2, 1, bias=b, relu=True).data
+        for j in range(3):
+            single = ad.conv2d(Tensor(x.data[:, j]), k, 2, 1, bias=b, relu=True).data
+            np.testing.assert_array_equal(batched[:, j], single)
+            want = naive_conv2d(x.data[:, j], k.data, 2, 1) + b.data[:, None, None]
+            np.testing.assert_allclose(single, np.maximum(want, 0.0), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("pool", [ad.spatial_max_min, ad.spatial_mean])
+    def test_pooling_on_a_batch(self, pool):
+        x = randt(60, 4, 3, 2, 5)
+        w = Tensor(np.random.default_rng(61).normal(size=(3, 4)))
+        assert ad.grad_check(lambda: ad.reduce_sum(ad.mul(pool(x), w)), [x]) < 1e-6
+        rows = pool(x).data
+        assert rows.shape == (3, 4)
+        for j in range(3):
+            np.testing.assert_array_equal(rows[j], pool(Tensor(x.data[:, j])).data)
+
+    def test_row_wise_l2_normalize(self):
+        x = randt(62, 3, 5)
+        w = Tensor(np.random.default_rng(63).normal(size=(3, 5)))
+        assert ad.grad_check(lambda: ad.reduce_sum(ad.mul(ad.l2_normalize(x), w)), [x]) < 1e-6
+        np.testing.assert_allclose(np.linalg.norm(ad.l2_normalize(x).data, axis=1), 1.0,
+                                   rtol=0, atol=1e-15)
+
+    def test_row_dropout_keys_reproduce_single_masks(self):
+        x = Tensor(np.ones((3, 40)))
+        keys = [(1, 2, j) for j in range(3)]
+        rows = ad.dropout(x, 0.5, keys).data
+        for j, key in enumerate(keys):
+            np.testing.assert_array_equal(rows[j], ad.dropout(Tensor(np.ones(40)), 0.5, key).data)
+
+    def test_sum_examples_adds_the_last_example_first(self):
+        # Rounding tells the orders apart: (-1e16 + 1e16) + 1 is 1, (1 + 1e16) - 1e16 is 0.
+        parts = np.array([[1.0], [1e16], [-1e16]])
+        np.testing.assert_array_equal(ad.sum_examples(3, lambda k: parts[k]), [1.0])
+        total = ad.sum_examples(1, lambda k: parts[k])
+        total += 5.0                    # a copy: the caller's array stays as it was
+        assert parts[0, 0] == 1.0

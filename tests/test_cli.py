@@ -186,6 +186,18 @@ class TestTrain:
                      "--out", str(resumed)]) == 0
         assert resumed.read_bytes() == straight.read_bytes()
 
+    def test_resume_on_another_vocabulary_exit_1(self, tmp_path, capsys, workspace):
+        _, _, _, trained_ckpt = workspace
+        other = tmp_path / "other"
+        assert main(["generate-data", "--out", str(other), "--scenes", "2", "--seed", "40",
+                     "--objects", "1"]) == 0
+        assert read_dataset(other).vocab != load_checkpoint(trained_ckpt).model.vocab
+        out = tmp_path / "resumed.ckpt"
+        code, _, err = run(capsys, "train", "--data", str(other), "--resume", str(trained_ckpt),
+                           "--out", str(out))
+        assert code == 1
+        assert "vocabulary" in err and not out.exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path, capsys, workspace):
         _, data, _, _ = workspace
         cfg_path = tmp_path / "run.json"

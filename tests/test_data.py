@@ -9,6 +9,7 @@ import pytest
 from semvis.data import (COLORS, SHAPES, Scene, SceneConfig, build_vocab, caption_objects,
                          generate_dataset, generate_scene, read_dataset, write_dataset)
 from semvis.errors import GenerationError, ManifestError
+from semvis.ppm import read_ppm
 
 
 class TestGenerateScene:
@@ -153,3 +154,12 @@ class TestDatasetIO:
         images_a = {scene.image.tobytes() for scene in a.scenes}
         images_b = {scene.image.tobytes() for scene in b.scenes}
         assert not images_a & images_b
+
+
+class TestHostilePpm:
+    @pytest.mark.parametrize("dims", [b"-1 -3", b"0 16", b"16 0", b"-4 4"])
+    def test_non_positive_size_is_a_manifest_error(self, tmp_path, dims):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(b"P6\n" + dims + b"\n255\n" + bytes(48))
+        with pytest.raises(ManifestError, match="not positive"):
+            read_ppm(path)

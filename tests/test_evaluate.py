@@ -9,6 +9,7 @@ from semvis.evaluate import center_baseline, eval_pointing, eval_retrieval
 from semvis.localize import LocalizationConfig
 
 
+from conftest import argsort_retrieval_ranks
 from conftest import oracle_retrieval_ranks as oracle_reports
 
 
@@ -45,6 +46,21 @@ class TestEvalRetrieval:
                 assert img.r_at[r] == np.mean([rk <= r for rk in img_ranks])
             assert cap.median_rank == np.median(cap_ranks)
             assert img.median_rank == np.median(img_ranks)
+
+    @pytest.mark.parametrize("n_img,caps_per", [(7, 3), (40, 200)])
+    def test_tie_heavy_matrix_matches_the_argsort_ranking(self, n_img, caps_per):
+        """Scores from three levels, so most comparisons are ties; the larger case
+        spans several counting blocks both ways.  Recall at every rank pins the
+        whole rank distribution."""
+        rng = np.random.default_rng(n_img)
+        owners = rng.permutation(np.repeat(np.arange(n_img), caps_per))
+        sim = rng.integers(0, 3, size=(n_img, owners.size)) / 2.0
+        every = tuple(range(1, owners.size + 1))
+        cap, img = eval_retrieval(sim, owners, r_values=every)
+        cap_ranks, img_ranks = argsort_retrieval_ranks(sim, owners)
+        for report, ranks in ((cap, cap_ranks), (img, img_ranks)):
+            assert report.r_at == {r: float(np.mean(np.asarray(ranks) <= r)) for r in every}
+            assert report.median_rank == float(np.median(ranks))
 
     def test_recall_monotone_and_total(self):
         rng = np.random.default_rng(4)

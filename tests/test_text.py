@@ -235,3 +235,41 @@ class TestEncodeText:
         train_v2 = encode_text([1, 2], params, cfg, training=True, rng_key=(0, 0)).data
         assert not np.allclose(eval_v, train_v)
         np.testing.assert_array_equal(train_v, train_v2)
+
+
+class TestBatchedText:
+    def test_batched_layer_rows_equal_single_sequences(self):
+        layer = random_layer(hidden=4, in_dim=3, seed=12)
+        x = np.random.default_rng(13).normal(size=(3, 5, 3))
+        batched = sru_layer(Tensor(x), layer).data
+        for j in range(3):
+            np.testing.assert_array_equal(batched[j], sru_layer(Tensor(x[j]), layer).data)
+
+    def test_two_length_buckets_gradient(self, micro_model):
+        seqs = [[1, 2], [3, 4, 5], [2, 6], [1, 1, 3]]    # lengths 2 and 3, interleaved
+        micro_model.params["word.table"].data *= 10.0   # keeps the differences well conditioned
+        w = np.random.default_rng(14).normal(size=(4, micro_model.cfg.embed_dim))
+        params = {n: p for n, p in micro_model.params.items() if n.startswith(("sru.", "word."))}
+
+        def f():
+            return ad.reduce_sum(ad.mul(micro_model.encode_texts(seqs), Tensor(w)))
+
+        assert ad.grad_check(f, list(params.values())) < 1e-5
+        ad.zero_grads(params.values())
+        f().backward()
+        batched = {n: p.grad for n, p in params.items()}
+        ad.zero_grads(params.values())
+        one_by_one = [ad.dot(micro_model.encode_text(seq), Tensor(row))
+                      for seq, row in zip(seqs, w)]
+        ad.reduce_sum(stack1d(one_by_one)).backward()
+        for name, p in params.items():
+            np.testing.assert_allclose(batched[name], p.grad, rtol=1e-12, atol=1e-13)
+
+    def test_batch_rows_equal_one_caption_encodes(self, micro_model):
+        texts = ["a red circle", "the square is blue", "a blue circle", "red"]
+        keys = [(4, 0, 1, j) for j in range(4)]
+        for training in (False, True):
+            rows = micro_model.encode_texts(texts, training=training, rng_keys=keys).data
+            for text, key, row in zip(texts, keys, rows):
+                one = micro_model.encode_text(text, training=training, rng_key=key).data
+                np.testing.assert_array_equal(row, one)

@@ -11,7 +11,7 @@ from semvis import autodiff
 from semvis.autodiff import Tensor
 from semvis.data import generate_dataset
 from semvis.errors import CheckpointError, ContractError
-from conftest import MICRO_CONFIG
+from conftest import MICRO_CONFIG, per_example_train_epoch
 from semvis.model import Model, ModelConfig
 from semvis.text import Vocab
 from semvis.train import (AdamState, TrainSchedule, adam_step, effective_lr,
@@ -165,6 +165,21 @@ class TestTrainEpoch:
         with pytest.raises(RuntimeError, match="loss failed"):
             train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
         assert all(p.requires_grad for p in model.params.values())
+
+    @pytest.mark.parametrize("pooling", ["max_min", "mean"])
+    def test_batched_epochs_match_the_per_example_oracle(self, pooling):
+        """One graph per batch against one graph per example, through a frozen
+        and an unfrozen epoch, with dropout at both sites: bit for bit."""
+        sched = TrainSchedule(epochs=2, batch_size=8, freeze_epochs=1)
+        (batched, dataset), (oracle, _) = (tiny_setup(sru_layers=2, pooling=pooling)
+                                           for _ in range(2))
+        states = AdamState(), AdamState()
+        for epoch in range(2):
+            got = train_epoch(batched, dataset, sched, states[0], epoch, seed=5)
+            want = per_example_train_epoch(oracle, dataset, sched, states[1], epoch, seed=5)
+            assert got == want
+        for name, p in batched.params.items():
+            np.testing.assert_array_equal(p.data, oracle.params[name].data)
 
     def test_loss_decreases_over_a_short_run(self):
         model, dataset = tiny_setup(n_scenes=48)

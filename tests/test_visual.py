@@ -41,6 +41,11 @@ class TestBackbone:
         with pytest.raises(ShapeError, match="16"):
             backbone_forward(Tensor(np.zeros((3, 60, 64))), params)
 
+    @pytest.mark.parametrize("shape", [(3, 0, 16), (3, 16, 0), (3, 2, 0, 0)])
+    def test_empty_image_rejected(self, shape):
+        with pytest.raises(ShapeError, match="positive"):
+            backbone_forward(Tensor(np.zeros(shape)), make_params())
+
     def test_matches_naive_convolution_chain(self):
         """Independent loop-based recomputation of the whole stack, one cell compared
         exactly and then the full map."""
@@ -186,3 +191,32 @@ class TestEncodeImage:
         t = image_to_tensor(img)
         assert t.data.max() <= 1.0 and t.data.min() >= 0.0
         np.testing.assert_allclose(t.data, img.astype(np.float64) / 255.0, rtol=0)
+
+
+class TestBatchedImages:
+    def test_batch_rows_equal_one_image_encodes(self, micro_model):
+        rng = np.random.default_rng(70)
+        images = [(rng.random((3, 32, 32)) * 255).astype(np.uint8) for _ in range(3)]
+        keys = [(2, 0, 5, j) for j in range(3)]
+        for training in (False, True):
+            rows = micro_model.encode_images(images, training=training, rng_keys=keys).data
+            for image, key, row in zip(images, keys, rows):
+                one, _ = micro_model.encode_image(image, training=training, rng_key=key)
+                np.testing.assert_array_equal(row, one.data)
+
+    def test_mixed_sizes_keep_input_order(self, micro_model):
+        rng = np.random.default_rng(71)
+        images = [rng.random((3, side, side)) for side in (16, 32, 16)]
+        rows = micro_model.encode_images(images).data
+        for image, row in zip(images, rows):
+            np.testing.assert_array_equal(row, micro_model.encode_image(image)[0].data)
+
+    def test_batch_stack_is_channel_major(self, micro_model):
+        params, cfg = micro_model.params, micro_model.cfg
+        batch = Tensor(np.random.default_rng(72).random((3, 2, 32, 32)))
+        x, stack = encode_image(batch, params, cfg)
+        assert x.shape == (2, cfg.embed_dim)
+        assert stack.shape == (cfg.adapt_channels, 2, 2, 2)
+        np.testing.assert_allclose(stack.data[:, 1],
+                                   encode_image(Tensor(batch.data[:, 1]), params, cfg)[1].data,
+                                   rtol=1e-13, atol=1e-15)
