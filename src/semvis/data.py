@@ -224,22 +224,38 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
 def read_dataset(in_dir) -> Dataset:
     scenes = []
     manifest = os.path.join(in_dir, "manifest.jsonl")
-    with open(manifest, "r", encoding="utf-8") as fh:
+    with open(manifest, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
                 scene_id = int(record["id"])
-                image = read_ppm(os.path.join(in_dir, record["image"]))
-                captions = [str(c) for c in record["captions"]]
-                regions = [(str(r["phrase"]), tuple(int(v) for v in r["bbox"]))
-                           for r in record["regions"]]
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                image = read_ppm(_dataset_file(in_dir, record["image"]))
+                captions = record["captions"]
+                if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
+                    raise ValueError("captions must be a list of strings")
+                regions = [(str(r["phrase"]), _bbox(r["bbox"])) for r in record["regions"]]
+                objects = [_object_from_region(p, b) for p, b in regions]
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+                    OSError) as exc:
                 raise ManifestError(line_no, str(exc)) from None
-            objects = [_object_from_region(p, b) for p, b in regions]
             scenes.append(Scene(scene_id, image, objects, captions, regions))
     return Dataset(scenes, Vocab.from_file(os.path.join(in_dir, "vocab.txt")))
+
+
+def _dataset_file(in_dir, rel: str) -> str:
+    """``rel`` under ``in_dir``; an absolute path or one that climbs out is refused."""
+    if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
+        raise ValueError(f"image path {rel!r} leaves the dataset directory")
+    return os.path.join(in_dir, rel)
+
+
+def _bbox(values) -> BBox:
+    if (not isinstance(values, list) or len(values) != 4
+            or any(type(v) is not int for v in values) or min(values[2:]) <= 0):
+        raise ValueError(f"bbox {values!r} is not 4 integers with a positive width and height")
+    return tuple(values)
 
 
 def _object_from_region(phrase: str, bbox: BBox) -> SceneObject:

@@ -22,10 +22,11 @@ class GenerationError(RuntimeError):
 
 
 class ManifestError(ValueError):
-    """A dataset manifest line could not be parsed."""
+    """A dataset manifest line, or a raster it names, could not be parsed (line 0: a
+    raster read on its own, reported without a line prefix)."""
 
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"manifest line {line_no}: {message}")
+        super().__init__(f"manifest line {line_no}: {message}" if line_no else message)
         self.line_no = line_no
 
 

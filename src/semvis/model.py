@@ -170,28 +170,36 @@ class Model:
         return text_mod.encode_text(token_ids, self.params, self.cfg,
                                     training=training, rng_key=rng_key)
 
+    def pool_images(self, images) -> Tensor:
+        """(N, adapt_channels) rows of N uint8 or float (3, H, W) images before the
+        projection, one (3, n, H, W) batch per image size, in input order."""
+        return _by_bucket([np.shape(image) for image in images], lambda rows: (
+            vis.pooled_features(vis.image_to_tensor(np.stack([images[i] for i in rows], axis=1)),
+                                self.params, self.cfg)[0]))
+
+    def project(self, pooled: Tensor, training: bool = False, rng_keys=None) -> Tensor:
+        """(N, d) embeddings of pooled rows; row j's dropout key is ``rng_keys[j]``."""
+        return vis.project(pooled, self.params, self.cfg.visual_dropout, training,
+                           () if rng_keys is None else list(rng_keys))
+
     def encode_images(self, images, training: bool = False, rng_keys=None) -> Tensor:
-        """(N, d) embeddings of N uint8 or float (3, H, W) images, one (3, n, H, W)
-        batch per image size; row j's dropout key is ``rng_keys[j]`` in train mode."""
-        return _by_bucket([np.shape(image) for image in images], rng_keys, lambda rows, keys: (
-            vis.encode_image(vis.image_to_tensor(np.stack([images[i] for i in rows], axis=1)),
-                             self.params, self.cfg, training=training, rng_key=keys)[0]))
+        """(N, d) embeddings of N images: ``pool_images``, then one ``project``."""
+        return self.project(self.pool_images(images), training, rng_keys)
 
     def encode_texts(self, texts, training: bool = False, rng_keys=None) -> Tensor:
         """(N, d) embeddings of N captions (strings or token ids), one batch per length."""
         ids = [text_mod.tokenize(t, self.vocab) if isinstance(t, str) else list(t) for t in texts]
-        return _by_bucket([len(seq) for seq in ids], rng_keys, lambda rows, keys: (
-            text_mod.encode_text([ids[i] for i in rows], self.params, self.cfg,
-                                 training=training, rng_key=keys)))
+        return _by_bucket([len(seq) for seq in ids], lambda rows: text_mod.encode_text(
+            [ids[i] for i in rows], self.params, self.cfg, training=training,
+            rng_key=() if rng_keys is None else [rng_keys[i] for i in rows]))
 
 
-def _by_bucket(sizes: list, rng_keys, encode) -> Tensor:
-    """``encode(rows, keys)`` once per group of rows of one size, in input order."""
+def _by_bucket(sizes: list, encode) -> Tensor:
+    """``encode(rows)`` once per group of rows of one size, in input order."""
     buckets: dict = {}
     for i, size in enumerate(sizes):
         buckets.setdefault(size, []).append(i)
-    parts = [encode(rows, () if rng_keys is None else [rng_keys[i] for i in rows])
-             for rows in buckets.values()]
+    parts = [encode(rows) for rows in buckets.values()]
     if len(parts) == 1:
         return parts[0]
     order = np.argsort([i for rows in buckets.values() for i in rows])

@@ -4,17 +4,21 @@ Each batch is one graph: its images encode as one channel-major
 (3, N, H, W) stack, its captions as one (n, T) batch per token length, and
 the ranking loss takes the two (N, d) embedding matrices.  When the batch
 is one image size and one token length, as on generated data, it trains bit
-for bit like one graph per image and per caption.  The text encoder, the word table and the final projection train from epoch zero;
-the rest of the image pipeline joins after ``freeze_epochs``.  A frozen
-tensor is not tracked during the epoch (``train_epoch`` clears its
-``requires_grad`` and restores it afterwards), so the graph records no op
-whose inputs are all frozen and back-propagation stops at ``proj.*``.  The
+for bit like one graph per image and per caption.  The text encoder, the
+word table and the final projection train from epoch zero; the rest of the
+image pipeline joins after ``freeze_epochs``.  A frozen tensor is not
+tracked during the epoch (``train_epoch`` clears its ``requires_grad`` and
+restores it afterwards), so the graph records no op whose inputs are all
+frozen and back-propagation stops at ``proj.*``.  A frozen epoch encodes
+each image once, up to its pooled vector, and every batch projects those
+rows instead of running the convolutions again.  The
 learning rate starts at ``lr0`` and halves every epoch until
 ``halving_until_epoch``, then stays fixed.  All randomness (shuffling,
 caption sampling, dropout) is derived from (seed, epoch) keys, so a run is
 bit-reproducible and a resumed run continues the exact trajectory.
 
-Checkpoints are a single binary file: magic ``SVEC``, a u32 version, then
+Checkpoints are a single binary file, written beside the target and renamed
+over it: magic ``SVEC``, a u32 version, then
 three sections (model tensors, optimizer state, run state), each a u32
 entry count followed by entries of the form
 
@@ -30,12 +34,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import zero_grads
+from .autodiff import no_grad, stack_rows, take_rows, zero_grads
 from .data import Dataset
 from .errors import CheckpointError, ContractError
 from .loss import Batch, LossConfig, batch_loss
@@ -130,7 +135,11 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
     contributes its image and one of its longest captions (the two-object
     conjunctions, when it has any), drawn uniformly; a string already taken
     in the batch is redrawn, for at most eight draws in all.  A batch with
-    fewer than two distinct scenes is skipped (it has no negatives).
+    fewer than two distinct scenes is skipped (it has no negatives).  While
+    ``backbone.*`` and ``adapt.*`` are frozen a scene's pooled row is fixed, so
+    each appearing scene is encoded once per epoch, untracked and a batch of
+    images at a time, and a batch projects the rows of its scenes; otherwise
+    a batch encodes its own images, tracked.
     """
     if not dataset.scenes:
         raise ContractError("cannot train on an empty dataset")
@@ -152,6 +161,12 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
     for p in frozen:
         p.requires_grad = False
     try:
+        appearing, table = np.unique(order), None
+        if not any(n.startswith(("backbone.", "adapt.")) for n in names):
+            with no_grad():
+                table = stack_rows([model.pool_images(
+                    [dataset.scenes[i].image for i in appearing[lo:lo + sched.batch_size]])
+                    for lo in range(0, len(appearing), sched.batch_size)])
         losses = []
         for step, start in enumerate(range(0, len(order), sched.batch_size)):
             idxs = order[start:start + sched.batch_size]
@@ -176,7 +191,9 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
                 scenes.append(scene)
                 captions.append(cap)
             keys = [(seed, epoch, step, j) for j in range(len(scenes))]
-            images = model.encode_images([s.image for s in scenes], training=True, rng_keys=keys)
+            pooled = (model.pool_images([s.image for s in scenes]) if table is None
+                      else take_rows(table, np.searchsorted(appearing, idxs)))
+            images = model.project(pooled, training=True, rng_keys=keys)
             texts = model.encode_texts(captions, training=True, rng_keys=keys)
             loss = batch_loss(Batch(images, texts, [s.scene_id for s in scenes]), loss_cfg)
             value = loss.item()
@@ -350,12 +367,21 @@ def save_checkpoint(path, model: Model, state: AdamState, sched: TrainSchedule,
     run_section = {"seed": np.float64(seed), "next_epoch": np.float64(next_epoch),
                    **_settings_entries(sched, "schedule.")}
 
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        _write_section(fh, model_section)
-        _write_section(fh, opt_section)
-        _write_section(fh, run_section)
+    # Written beside the target, then renamed over it: a write that fails partway
+    # leaves the previous checkpoint as it was.
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            _write_section(fh, model_section)
+            _write_section(fh, opt_section)
+            _write_section(fh, run_section)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> CheckpointBundle:

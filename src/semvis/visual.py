@@ -74,19 +74,24 @@ def project(pooled: Tensor, params: dict, dropout_p: float = 0.0,
     return ad.l2_normalize(ad.linear(x, params["proj.weight"], params["proj.bias"]))
 
 
-def encode_image(image: Tensor, params: dict, cfg: ModelConfig,
-                 training: bool = False, rng_key: tuple | list = ()) -> tuple[Tensor, Tensor]:
-    """Full visual pipeline; returns (embedding, pre-pooling feature stack).
-
-    A (3, N, H, W) batch with one dropout key per image gives (N, d) rows and
-    a (C, N, h, w) stack; one (3, H, W) image gives (d,) and (C, h, w).  The
-    feature stack is what the localization module consumes.
-    """
+def pooled_features(image: Tensor, params: dict, cfg: ModelConfig) -> tuple[Tensor, Tensor]:
+    """The pipeline up to the projection: (pooled, pre-pooling feature stack), as
+    (N, adapt_channels) rows and (C, N, h, w) for a (3, N, H, W) batch, or (C,) and
+    (C, h, w) for one image.  A row depends on its own image only."""
     features = backbone_forward(image, params, len(cfg.hidden_channels) + 1)
     stack = adapt(features, params)
-    pooled = pool(stack, cfg.pooling)
-    embedding = project(pooled, params, cfg.visual_dropout, training, rng_key)
-    return embedding, stack
+    return pool(stack, cfg.pooling), stack
+
+
+def encode_image(image: Tensor, params: dict, cfg: ModelConfig,
+                 training: bool = False, rng_key: tuple | list = ()) -> tuple[Tensor, Tensor]:
+    """``pooled_features``, then ``project``: (embedding, pre-pooling feature stack).
+
+    A (3, N, H, W) batch with one dropout key per image gives (N, d) rows; one
+    (3, H, W) image gives (d,).  The localization module consumes the stack.
+    """
+    pooled, stack = pooled_features(image, params, cfg)
+    return project(pooled, params, cfg.visual_dropout, training, rng_key), stack
 
 
 def image_to_tensor(image: np.ndarray) -> Tensor:

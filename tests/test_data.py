@@ -5,11 +5,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semvis.data import (COLORS, SHAPES, Scene, SceneConfig, build_vocab, caption_objects,
-                         generate_dataset, generate_scene, read_dataset, write_dataset)
+from semvis import errors
+from semvis.data import (COLORS, SHAPES, Dataset, Scene, SceneConfig, build_vocab,
+                         caption_objects, generate_dataset, generate_scene, read_dataset,
+                         write_dataset)
 from semvis.errors import GenerationError, ManifestError
-from semvis.ppm import read_ppm
+from semvis.ppm import read_ppm, write_ppm
+
+TYPED_ERRORS = tuple(v for v in vars(errors).values()
+                     if isinstance(v, type) and v.__module__ == errors.__name__)
 
 
 class TestGenerateScene:
@@ -163,3 +170,111 @@ class TestHostilePpm:
         path.write_bytes(b"P6\n" + dims + b"\n255\n" + bytes(48))
         with pytest.raises(ManifestError, match="not positive"):
             read_ppm(path)
+
+
+def _edit_line_2(tmp_path, edit):
+    """A two-scene dataset whose second manifest record is replaced by ``edit(record)``
+    (a dict, or a raw line)."""
+    write_dataset(generate_dataset(2, seed=9), tmp_path)
+    manifest = tmp_path / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    edited = edit(json.loads(lines[1]))
+    lines[1] = edited if isinstance(edited, str) else json.dumps(edited)
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+def _outside_image(tmp_path):
+    """A valid raster beside, not inside, the dataset directory ``tmp_path``."""
+    outside = tmp_path.parent / f"{tmp_path.name}-outside.ppm"
+    write_ppm(outside, np.zeros((3, 16, 16), dtype=np.uint8))
+    return outside
+
+
+class TestHostileManifest:
+    @pytest.mark.parametrize("edit", [
+        lambda r, _: {**r, "regions": [{"phrase": "a purple blob", "bbox": [0, 0, 8, 8]}]},
+        lambda r, out: {**r, "image": str(out)},
+        lambda r, out: {**r, "image": f"images/../../{out.name}"},
+        lambda r, _: {**r, "regions": [{**r["regions"][0], "bbox": [1, 2, 3]}]},
+        lambda r, _: {**r, "regions": [{**r["regions"][0], "bbox": [1, 2, -3, -3]}]},
+        lambda r, _: {**r, "regions": [{**r["regions"][0], "bbox": [1, 2, 3.5, 4]}]},
+        lambda r, _: "[" * 100_000 + "]" * 100_000,
+        lambda r, _: {**r, "image": "images"},
+    ], ids=["phrase-without-color-and-shape", "absolute-image-path", "image-path-climbs-out",
+            "bbox-of-3", "bbox-of-negative-size", "bbox-not-integers", "nested-too-deep",
+            "image-is-a-directory"])
+    def test_reported_with_its_line_number(self, tmp_path, edit):
+        outside = _outside_image(tmp_path)
+        _edit_line_2(tmp_path, lambda record: edit(record, outside))
+        with pytest.raises(ManifestError, match="^manifest line 2: "):
+            read_dataset(tmp_path)
+
+    def test_bad_raster_has_one_prefix(self, tmp_path):
+        _edit_line_2(tmp_path, lambda record: record)
+        (tmp_path / "images" / "000001.ppm").write_bytes(b"P6\n16 16\n255\n" + bytes(5))
+        with pytest.raises(ManifestError, match="^manifest line 2: ") as info:
+            read_dataset(tmp_path)
+        assert str(info.value).count("manifest line") == 1
+        assert "truncated pixel data" in str(info.value)
+
+
+def _check_image(image):
+    assert isinstance(image, np.ndarray) and image.dtype == np.uint8
+    assert image.ndim == 3 and image.shape[0] == 3 and min(image.shape) >= 1
+
+
+_HEADER_TOKENS = st.one_of(st.integers(-2, 6).map(lambda v: str(v).encode()),
+                           st.sampled_from([b"P6", b"P5", b"255", b"65535", b"#x\n", b"1e3"]),
+                           st.binary(max_size=4))
+_HEADER = st.lists(st.tuples(_HEADER_TOKENS, st.sampled_from([b" ", b"\n", b"\t", b"#c\n", b""])),
+                   max_size=5).map(lambda parts: b"".join(t + sep for t, sep in parts))
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                     max_leaves=6)
+_REGION = st.fixed_dictionaries({
+    "phrase": st.sampled_from(["a red circle", "a blue square", "a purple blob", ""]) | _JSON,
+    "bbox": st.lists(st.integers(-2, 70), min_size=3, max_size=5) | _JSON}) | _JSON
+_RECORD = st.fixed_dictionaries({}, optional={
+    "id": st.integers() | _JSON,
+    "image": st.sampled_from(["images/000000.ppm", "images/../images/000000.ppm",
+                              "images/missing.ppm", "images", "", "/no/such.ppm",
+                              "../000000.ppm"]) | _JSON,
+    "captions": st.lists(st.text(max_size=12), max_size=3) | _JSON,
+    "regions": st.lists(_REGION, max_size=3) | _JSON})
+_LINE = _RECORD.map(lambda r: json.dumps(r).encode()) | st.text(max_size=30).map(str.encode) | st.binary(max_size=30)
+
+
+class TestHostileInputProperties:
+    """A reader returns a valid object or raises a ``semvis.errors`` type, never another one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(magic=st.sampled_from([b"P6", b"P5", b""]) | st.binary(max_size=2), header=_HEADER,
+           payload=st.binary(max_size=80))
+    def test_read_ppm(self, tmp_path_factory, magic, header, payload):
+        path = tmp_path_factory.getbasetemp() / "property.ppm"
+        path.write_bytes(magic + header + payload)
+        try:
+            image = read_ppm(path)
+        except TYPED_ERRORS:
+            return
+        _check_image(image)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_LINE, max_size=3))
+    def test_read_dataset(self, tmp_path_factory, lines):
+        root = tmp_path_factory.getbasetemp() / "property-dataset"
+        if not root.exists():
+            write_dataset(generate_dataset(1, seed=4), root)
+        (root / "manifest.jsonl").write_bytes(b"\n".join(lines))
+        try:
+            dataset = read_dataset(root)
+        except TYPED_ERRORS:
+            return
+        assert isinstance(dataset, Dataset)
+        for scene in dataset.scenes:
+            _check_image(scene.image)
+            assert all(isinstance(c, str) for c in scene.captions)
+            assert len(scene.objects) == len(scene.regions)
+            for phrase, bbox in scene.regions:
+                assert isinstance(phrase, str) and len(bbox) == 4 and min(bbox[2:]) > 0

@@ -1,13 +1,14 @@
 """Optimizer, schedule, epoch loop, checkpoint round-trips."""
 
 import hashlib
+import os
 import struct
 
 import numpy as np
 import pytest
 
 import semvis.train as train_module
-from semvis import autodiff
+from semvis import autodiff, visual
 from semvis.autodiff import Tensor
 from semvis.data import generate_dataset
 from semvis.errors import CheckpointError, ContractError
@@ -166,6 +167,45 @@ class TestTrainEpoch:
             train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
         assert all(p.requires_grad for p in model.params.values())
 
+        def failing_backbone(image, params, blocks=4):   # while the pooled table is built
+            assert not model.params["backbone.0.kernel"].requires_grad
+            raise RuntimeError("encode failed")
+
+        monkeypatch.setattr(visual, "backbone_forward", failing_backbone)
+        with pytest.raises(RuntimeError, match="encode failed"):
+            train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
+        assert all(p.requires_grad for p in model.params.values())
+
+    def test_a_frozen_epoch_encodes_each_scene_once(self, monkeypatch):
+        rows = []
+        real_backbone = visual.backbone_forward
+
+        def counting_backbone(image, params, blocks=4):
+            rows.append(1 if image.data.ndim == 3 else image.data.shape[1])
+            return real_backbone(image, params, blocks)
+
+        monkeypatch.setattr(visual, "backbone_forward", counting_backbone)
+        model, dataset = tiny_setup()
+        sched = TrainSchedule(epochs=2, batch_size=4, freeze_epochs=1)
+        train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
+        assert sum(rows) == len(dataset.scenes)
+        rows.clear()
+        train_epoch(model, dataset, sched, AdamState(), epoch=1, seed=1)   # the control
+        assert sum(rows) == sum(len(s.captions) for s in dataset.scenes)
+
+    def test_frozen_epoch_over_two_image_sizes_matches_the_oracle(self):
+        """Scenes of 64x64 and 48x48 share batches; the projection's gradient sums
+        over the rows in input order, as one graph per example does."""
+        sched = TrainSchedule(epochs=1, batch_size=8, freeze_epochs=1)
+        (batched, dataset), (oracle, _) = (tiny_setup(sru_layers=2) for _ in range(2))
+        for scene in dataset.scenes[::2]:
+            scene.image = scene.image[:, 8:56, 8:56].copy()
+        got = train_epoch(batched, dataset, sched, AdamState(), 0, seed=5)
+        want = per_example_train_epoch(oracle, dataset, sched, AdamState(), 0, seed=5)
+        assert got == want
+        for name, p in batched.params.items():
+            np.testing.assert_array_equal(p.data, oracle.params[name].data)
+
     @pytest.mark.parametrize("pooling", ["max_min", "mean"])
     def test_batched_epochs_match_the_per_example_oracle(self, pooling):
         """One graph per batch against one graph per example, through a frozen
@@ -233,6 +273,27 @@ class TestCheckpoint:
         save_checkpoint(path, model, AdamState(), TrainSchedule(), seed=seed, next_epoch=0)
         blob = path.read_bytes()
         assert (len(blob), hashlib.sha256(blob).hexdigest()) == GOLDEN_CHECKPOINTS[case]
+
+    def test_a_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        model, _ = tiny_setup()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, AdamState(), TrainSchedule(), seed=1, next_epoch=0)
+        before = path.read_bytes()
+        real_write_section, sections = train_module._write_section, []
+
+        def failing_write_section(fh, entries):
+            sections.append(entries)
+            if len(sections) == 2:
+                fh.write(b"partial")
+                raise OSError("disk full")
+            real_write_section(fh, entries)
+
+        monkeypatch.setattr(train_module, "_write_section", failing_write_section)
+        model.params["proj.bias"].data += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, AdamState(), TrainSchedule(), seed=1, next_epoch=1)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.ckpt"]
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         model, dataset = tiny_setup()
