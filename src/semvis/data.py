@@ -223,6 +223,7 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
 
 def read_dataset(in_dir) -> Dataset:
     scenes = []
+    seen_ids = set()
     manifest = os.path.join(in_dir, "manifest.jsonl")
     with open(manifest, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -230,12 +231,16 @@ def read_dataset(in_dir) -> Dataset:
                 continue
             try:
                 record = json.loads(line.decode("utf-8"))
-                scene_id = int(record["id"])
+                scene_id = record["id"]
+                if type(scene_id) is not int or scene_id in seen_ids:
+                    raise ValueError(f"scene id {scene_id!r} is not a new integer")
+                seen_ids.add(scene_id)
                 image = read_ppm(_dataset_file(in_dir, record["image"]))
                 captions = record["captions"]
                 if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
                     raise ValueError("captions must be a list of strings")
-                regions = [(str(r["phrase"]), _bbox(r["bbox"])) for r in record["regions"]]
+                regions = [(str(r["phrase"]), _bbox(r["bbox"], image.shape[1:]))
+                           for r in record["regions"]]
                 objects = [_object_from_region(p, b) for p, b in regions]
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
                     OSError) as exc:
@@ -251,10 +256,14 @@ def _dataset_file(in_dir, rel: str) -> str:
     return os.path.join(in_dir, rel)
 
 
-def _bbox(values) -> BBox:
+def _bbox(values, image_size: tuple[int, int]) -> BBox:
+    """4 integers (x, y, w, h): a box of positive size inside an image of (H, W) pixels."""
     if (not isinstance(values, list) or len(values) != 4
             or any(type(v) is not int for v in values) or min(values[2:]) <= 0):
         raise ValueError(f"bbox {values!r} is not 4 integers with a positive width and height")
+    x, y, w, h = values
+    if min(x, y) < 0 or x + w > image_size[1] or y + h > image_size[0]:
+        raise ValueError(f"bbox {values!r} leaves the {image_size[1]}x{image_size[0]} image")
     return tuple(values)
 
 

@@ -46,22 +46,7 @@ class PointingReport:
                 "n": len(self.hits)}
 
 
-_RANK_BLOCK_CELLS = 1 << 18   # bounds the ranking's temporaries at a few MB
-
-
-def _best_match_ranks(sim: np.ndarray, row_owner: np.ndarray, col_owner: np.ndarray):
-    """Per row, the 1-based rank of its best own column (equal owners): as in a stable
-    descending sort, after every higher score and every equal one at a lower index."""
-    ranks = np.empty(sim.shape[0], dtype=np.int64)
-    columns = np.arange(sim.shape[1])
-    step = max(1, _RANK_BLOCK_CELLS // max(1, sim.shape[1]))
-    for lo in range(0, sim.shape[0], step):
-        block = sim[lo:lo + step]
-        best = np.where(col_owner == row_owner[lo:lo + step, None], block, -np.inf
-                        ).argmax(axis=1)[:, None]
-        top = np.take_along_axis(block, best, axis=1)
-        ranks[lo:lo + step] = 1 + ((block > top) | ((block == top) & (columns < best))).sum(1)
-    return ranks
+_RANK_BLOCK_CELLS = 1 << 16   # bools per counting block: a block of rows stays in cache
 
 
 def eval_retrieval(sim, caption_owner, r_values=(1, 5, 10)) -> tuple[RetrievalReport, RetrievalReport]:
@@ -69,7 +54,10 @@ def eval_retrieval(sim, caption_owner, r_values=(1, 5, 10)) -> tuple[RetrievalRe
 
     ``caption_owner[j]`` is the image index that caption j describes.  The
     caption side asks, per image, where its best-ranked own caption lands;
-    the image side asks, per caption, where its owning image lands.
+    the image side asks, per caption, where its owning image lands.  Both
+    rank the line's own score as a stable descending sort would: 1 + the
+    scores above it + the scores equal to it at a lower index.  A NaN own
+    score is a ContractError.
     """
     s = sim.data if isinstance(sim, Tensor) else np.asarray(sim, dtype=np.float64)
     owners = np.asarray(caption_owner, dtype=np.int64)
@@ -78,12 +66,39 @@ def eval_retrieval(sim, caption_owner, r_values=(1, 5, 10)) -> tuple[RetrievalRe
         raise ContractError(f"need one owner per caption, got {owners.shape} for {n_cap} captions")
     if owners.min(initial=0) < 0 or owners.max(initial=-1) >= n_img:
         raise ContractError("caption owner index out of range")
-    if len(set(owners.tolist())) != n_img:
+    per_image = np.bincount(owners, minlength=n_img)
+    if not per_image.all():
         raise ContractError("every image must own at least one caption")
+    own = s[owners, np.arange(n_cap)]               # per caption: its own image's score
+    if np.isnan(own).any():
+        raise ContractError("a caption's score with its own image is NaN")
+    # Per image: its best own caption's score and, of the captions reaching it, the lowest column.
+    order = np.argsort(owners, kind="stable")
+    starts = np.cumsum(per_image) - per_image
+    best = np.maximum.reduceat(own[order], starts)
+    best_col = np.minimum.reduceat(
+        np.where(own[order] == np.repeat(best, per_image), order, n_cap), starts)
 
-    # Caption side: per image, its best own caption; image side: per caption, its image.
-    cap_ranks = _best_match_ranks(s, np.arange(n_img), owners)
-    img_ranks = _best_match_ranks(s.T, owners, np.arange(n_img))
+    # One pass over blocks of rows: the caption side counts along each row against the
+    # row's best own score, the image side down each column against the column's own
+    # score.  A block holds at most 255 rows, so its per-column counts fit in uint8.
+    cap_ranks = np.ones(n_img, dtype=np.int64)
+    img_above = np.zeros(n_cap, dtype=np.int64)
+    img_equal = np.zeros(n_cap, dtype=np.int64)
+    step = min(255, max(1, _RANK_BLOCK_CELLS // max(1, n_cap)))
+    buf = np.empty((min(step, n_img), n_cap), dtype=bool)
+    for lo in range(0, n_img, step):
+        block, top = s[lo:lo + step], best[lo:lo + step, None]
+        mask = buf[:len(block)]
+        cap_ranks[lo:lo + step] += np.greater(block, top, out=mask).sum(axis=1, dtype=np.int32)
+        equal = np.equal(block, top, out=mask).sum(axis=1, dtype=np.int32)
+        for r in np.flatnonzero(equal > 1):   # a real tie: equal scores at lower columns go first
+            cap_ranks[lo + r] += np.count_nonzero(mask[r, :best_col[lo + r]])
+        img_above += np.greater(block, own, out=mask).sum(axis=0, dtype=np.uint8)
+        img_equal += np.equal(block, own, out=mask).sum(axis=0, dtype=np.uint8)
+    img_ranks = 1 + img_above
+    for j in np.flatnonzero(img_equal > 1):   # a real tie: equal scores at lower rows go first
+        img_ranks[j] += np.count_nonzero(s[:owners[j], j] == own[j])
 
     def report(direction: str, ranks: np.ndarray) -> RetrievalReport:
         return RetrievalReport(direction,
@@ -98,32 +113,41 @@ def _box_contains(bbox, px: float, py: float) -> bool:
     return x <= px < x + w and y <= py < y + h
 
 
+_POINTING_BATCH = 32   # distinct images per encode: bounds the batch's activations
+
+
 def eval_pointing(model, regions, cfg: LocalizationConfig) -> PointingReport:
     """Run the pointing game over (image, phrase, bbox) annotations.
 
     For every region the phrase embedding picks and weights the activation
-    maps of its image; a hit means the heat peak lands inside the box.
+    maps of its image; a hit means the heat peak lands inside the box.  Each
+    distinct image (by identity) is encoded once, up to ``_POINTING_BATCH``
+    same-size images per batch, and the distinct phrases in one call.
     """
     regions = list(regions)
     if not regions:
         raise ContractError("pointing game needs at least one region")
-    hits = []
-    stack_cache: dict[int, tuple] = {}
-    text_cache: dict[str, Tensor] = {}   # eval mode: a phrase always embeds the same
+    by_size: dict[tuple, dict[int, np.ndarray]] = {}
+    for image, _, _ in regions:
+        by_size.setdefault(image.shape, {})[id(image)] = image
+    phrases = list(dict.fromkeys(phrase for _, phrase, _ in regions))
+    maps = {}
     with no_grad():
-        for image, phrase, bbox in regions:
-            key = id(image)
-            if key not in stack_cache:
-                _, stack = model.encode_image(image, training=False)
-                maps = activation_maps(stack, model.params["proj.weight"])
-                stack_cache[key] = (maps, image.shape[1:])
-            maps, (height, width) = stack_cache[key]
-            if phrase not in text_cache:
-                text_cache[phrase] = model.encode_text(phrase, training=False)
-            embedding = text_cache[phrase]
-            hm = heatmap(maps, embedding, cfg, (height, width), height // maps.shape[1])
-            px, py = point(hm)
-            hits.append(_box_contains(bbox, px, py))
+        embeddings = dict(zip(phrases, model.encode_texts(phrases).data))
+        for group in by_size.values():
+            images = list(group.values())
+            for lo in range(0, len(images), _POINTING_BATCH):
+                chunk = images[lo:lo + _POINTING_BATCH]
+                _, stacks = model.pooled_features(chunk)
+                for k, image in enumerate(chunk):
+                    maps[id(image)] = activation_maps(stacks.data[:, k], model.params["proj.weight"])
+    hits = []
+    for image, phrase, bbox in regions:
+        height, width = image.shape[1:]
+        image_maps = maps[id(image)]
+        hm = heatmap(image_maps, embeddings[phrase], cfg, (height, width),
+                     height // image_maps.shape[1])
+        hits.append(_box_contains(bbox, *point(hm)))
     accuracy = float(np.mean(hits))
     return PointingReport(accuracy, hits, center_baseline(regions))
 

@@ -25,6 +25,8 @@ MININGS = (MINE_HARD, MINE_RANDOM)   # a checkpoint stores the index
 
 @dataclass
 class LossConfig:
+    """The loss's two settings and their one check, which ``ModelConfig`` runs too."""
+
     margin: float = 0.2
     mining: str = MINE_HARD
 

@@ -12,7 +12,7 @@ from . import text as text_mod
 from . import visual as vis
 from .autodiff import Tensor
 from .errors import CheckpointError
-from .loss import MININGS
+from .loss import MININGS, LossConfig
 from .text import Vocab
 
 _INIT_SALT = 7
@@ -54,8 +54,7 @@ class ModelConfig:
         for name in ("visual_dropout", "sru_dropout"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.margin <= 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
+        LossConfig(self.margin, self.mining)   # the loss settings' own checks
         if self.top_k is not None and not 1 <= self.top_k <= self.embed_dim:
             raise ValueError(f"top_k must be in [1, {self.embed_dim}], got {self.top_k}")
 
@@ -170,12 +169,17 @@ class Model:
         return text_mod.encode_text(token_ids, self.params, self.cfg,
                                     training=training, rng_key=rng_key)
 
+    def pooled_features(self, images) -> tuple[Tensor, Tensor]:
+        """``visual.pooled_features`` of N same-size uint8 or float (3, H, W) images as
+        one (3, N, H, W) batch: (N, adapt_channels) rows and the (C, N, h, w) stack."""
+        return vis.pooled_features(vis.image_to_tensor(np.stack(images, axis=1)),
+                                   self.params, self.cfg)
+
     def pool_images(self, images) -> Tensor:
         """(N, adapt_channels) rows of N uint8 or float (3, H, W) images before the
         projection, one (3, n, H, W) batch per image size, in input order."""
-        return _by_bucket([np.shape(image) for image in images], lambda rows: (
-            vis.pooled_features(vis.image_to_tensor(np.stack([images[i] for i in rows], axis=1)),
-                                self.params, self.cfg)[0]))
+        return _by_bucket([np.shape(image) for image in images],
+                          lambda rows: self.pooled_features([images[i] for i in rows])[0])
 
     def project(self, pooled: Tensor, training: bool = False, rng_keys=None) -> Tensor:
         """(N, d) embeddings of pooled rows; row j's dropout key is ``rng_keys[j]``."""

@@ -375,7 +375,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [dict(pooling="avg"), dict(mining="soft"),
                                      dict(embed_dim=0), dict(hidden_channels=(16, 0, 64)),
                                      dict(sru_layers=0), dict(visual_dropout=1.0),
-                                     dict(sru_dropout=1.5), dict(sru_dropout=-0.1)])
+                                     dict(sru_dropout=1.5), dict(sru_dropout=-0.1),
+                                     dict(margin=0.0)])
     def test_bad_values_raise_at_construction(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             ModelConfig(**bad)

@@ -200,9 +200,15 @@ class TestHostileManifest:
         lambda r, _: {**r, "regions": [{**r["regions"][0], "bbox": [1, 2, 3.5, 4]}]},
         lambda r, _: "[" * 100_000 + "]" * 100_000,
         lambda r, _: {**r, "image": "images"},
+        lambda r, _: {**r, "id": 0},
+        lambda r, _: {**r, "id": 0.9},
+        lambda r, _: {**r, "id": True},
+        lambda r, _: {**r, "regions": [{**r["regions"][0], "bbox": [60, 60, 30, 30]}]},
+        lambda r, _: {**r, "regions": [{**r["regions"][0], "bbox": [-1, 0, 8, 8]}]},
     ], ids=["phrase-without-color-and-shape", "absolute-image-path", "image-path-climbs-out",
             "bbox-of-3", "bbox-of-negative-size", "bbox-not-integers", "nested-too-deep",
-            "image-is-a-directory"])
+            "image-is-a-directory", "duplicate-id", "fractional-id", "boolean-id",
+            "bbox-leaves-the-image", "bbox-starts-left-of-the-image"])
     def test_reported_with_its_line_number(self, tmp_path, edit):
         outside = _outside_image(tmp_path)
         _edit_line_2(tmp_path, lambda record: edit(record, outside))
@@ -272,9 +278,13 @@ class TestHostileInputProperties:
         except TYPED_ERRORS:
             return
         assert isinstance(dataset, Dataset)
+        ids = [scene.scene_id for scene in dataset.scenes]
+        assert all(type(i) is int for i in ids) and len(set(ids)) == len(ids)
         for scene in dataset.scenes:
             _check_image(scene.image)
             assert all(isinstance(c, str) for c in scene.captions)
             assert len(scene.objects) == len(scene.regions)
-            for phrase, bbox in scene.regions:
-                assert isinstance(phrase, str) and len(bbox) == 4 and min(bbox[2:]) > 0
+            height, width = scene.image.shape[1:]
+            for phrase, (x, y, w, h) in scene.regions:
+                assert isinstance(phrase, str) and min(w, h) > 0
+                assert 0 <= x and x + w <= width and 0 <= y and y + h <= height

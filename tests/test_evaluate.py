@@ -1,13 +1,19 @@
 """Retrieval metrics against brute-force ranking; pointing game on oracle models."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from semvis import evaluate
 from semvis.autodiff import Tensor
+from semvis.data import generate_dataset
 from semvis.errors import ContractError
 from semvis.evaluate import center_baseline, eval_pointing, eval_retrieval
-from semvis.localize import LocalizationConfig
-
+from semvis.localize import LocalizationConfig, activation_maps, heatmap, point
+from semvis.model import Model, ModelConfig
 
 from conftest import argsort_retrieval_ranks
 from conftest import oracle_retrieval_ranks as oracle_reports
@@ -84,6 +90,27 @@ class TestEvalRetrieval:
         cap, _ = eval_retrieval(Tensor(np.eye(2)), [0, 1])
         assert cap.r_at[1] == 1.0
 
+    def test_constant_matrix_spans_the_largest_block(self):
+        """Every score ties, and a block of 255 rows counts 255 ties in every column."""
+        sim, owners = np.zeros((256, 256)), np.arange(256)
+        cap, img = eval_retrieval(sim, owners, r_values=(1, 255, 256))
+        cap_ranks, img_ranks = argsort_retrieval_ranks(sim, owners)
+        assert cap_ranks == img_ranks == list(range(1, 257))
+        for report in (cap, img):
+            assert report.r_at == {1: 1 / 256, 255: 255 / 256, 256: 1.0}
+            assert report.median_rank == 128.5
+
+    def test_nan_own_score_rejected(self):
+        sim = np.eye(3)
+        sim[1, 1] = np.nan
+        with pytest.raises(ContractError, match="NaN"):
+            eval_retrieval(sim, [0, 1, 2])
+
+    def test_nan_elsewhere_ranks_below_every_score(self):
+        sim = np.array([[0.5, np.nan], [0.1, 0.2]])
+        cap, img = eval_retrieval(sim, [0, 1], r_values=(1,))
+        assert cap.r_at[1] == 1.0 and img.r_at[1] == 1.0
+
     def test_ownerless_image_rejected(self):
         with pytest.raises(ContractError):
             eval_retrieval(np.zeros((3, 2)), [0, 1])
@@ -99,6 +126,33 @@ class TestEvalRetrieval:
         assert set(d["r_at"]) == {"1", "5", "10"}
 
 
+@st.composite
+def _ranking_case(draw):
+    """A similarity matrix over 1-8 images with 1-6 captions each, owners shuffled, and
+    scores from a few levels (mostly ties) or from many; plus a counting block size."""
+    per_image = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    owners = draw(st.permutations(np.repeat(np.arange(len(per_image)), per_image).tolist()))
+    levels = draw(st.sampled_from([1, 2, 3, 1000]))
+    cells = len(per_image) * len(owners)
+    scores = draw(st.lists(st.integers(0, levels - 1), min_size=cells, max_size=cells))
+    sim = np.reshape(scores, (len(per_image), len(owners))) / 2.0
+    return sim, owners, draw(st.integers(1, 2 * len(owners)))
+
+
+class TestEvalRetrievalProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_ranking_case())
+    @example(case=(np.array([[0.5, 0.5, 0.0]]), [0, 0, 0], 1))
+    def test_matches_the_argsort_ranking(self, case):
+        sim, owners, block_cells = case
+        every = tuple(range(1, len(owners) + 1))
+        with mock.patch.object(evaluate, "_RANK_BLOCK_CELLS", block_cells):
+            cap, img = eval_retrieval(sim, owners, r_values=every)
+        for report, ranks in zip((cap, img), argsort_retrieval_ranks(sim, owners)):
+            assert report.r_at == {r: float(np.mean(np.asarray(ranks) <= r)) for r in every}
+            assert report.median_rank == float(np.median(ranks))
+
+
 class _OracleModel:
     """Pointing-game stub: one activation map per phrase, painted on its box."""
 
@@ -108,13 +162,11 @@ class _OracleModel:
         d = len(phrases)
         self.params = {"proj.weight": Tensor(np.eye(d))}
 
-    def encode_image(self, image, training=False, rng_key=()):
-        return None, Tensor(self.stacks[id(image)])
+    def pooled_features(self, images):
+        return None, Tensor(np.stack([self.stacks[id(image)] for image in images], axis=1))
 
-    def encode_text(self, phrase, training=False, rng_key=()):
-        v = np.zeros(len(self.phrase_index))
-        v[self.phrase_index[phrase]] = 1.0
-        return Tensor(v)
+    def encode_texts(self, phrases, training=False, rng_keys=None):
+        return Tensor(np.eye(len(self.phrase_index))[[self.phrase_index[p] for p in phrases]])
 
 
 def build_oracle_case(rng, n_scenes=6, side=64, cell=16):
@@ -209,11 +261,15 @@ class TestCenterBaseline:
 class _CountingModel(_OracleModel):
     def __init__(self, phrases, stacks):
         super().__init__(phrases, stacks)
-        self.text_calls = []
+        self.text_calls, self.image_calls = [], []
 
-    def encode_text(self, phrase, training=False, rng_key=()):
-        self.text_calls.append(phrase)
-        return super().encode_text(phrase, training, rng_key)
+    def pooled_features(self, images):
+        self.image_calls.append([id(image) for image in images])
+        return super().pooled_features(images)
+
+    def encode_texts(self, phrases, training=False, rng_keys=None):
+        self.text_calls.append(list(phrases))
+        return super().encode_texts(phrases, training, rng_keys)
 
 
 class TestPointingEncodesEachPhraseOnce:
@@ -224,7 +280,44 @@ class TestPointingEncodesEachPhraseOnce:
         queries = regions + regions + [(regions[0][0], phrase, regions[0][2])
                                        for _, phrase, _ in regions]
         report = eval_pointing(model, queries, LocalizationConfig(top_k=1))
-        assert sorted(model.text_calls) == sorted(oracle.phrase_index)
+        assert len(model.text_calls) == 1
+        assert sorted(model.text_calls[0]) == sorted(oracle.phrase_index)
+        assert model.image_calls == [[id(image) for image, _, _ in regions]]
         one_by_one = [eval_pointing(oracle, [q], LocalizationConfig(top_k=1)).hits[0]
                       for q in queries]
         assert report.hits == one_by_one
+
+
+def _single_encode_points(model, regions, cfg):
+    """The heat peak of every region, each image and each phrase encoded on its own."""
+    points = []
+    for image, phrase, _ in regions:
+        _, stack = model.encode_image(image)
+        maps = activation_maps(stack, model.params["proj.weight"])
+        hm = heatmap(maps, model.encode_text(phrase), cfg, image.shape[1:],
+                     image.shape[1] // maps.shape[1])
+        points.append(point(hm))
+    return points
+
+
+class TestPointingBatches:
+    def test_hits_equal_a_single_encode_loop(self):
+        """41 distinct 64x64 images span two batches, and 32x48 crops of three of them
+        form a second size; the regions are asked in a shuffled order."""
+        dataset = generate_dataset(41, seed=12)
+        model = Model.initialize(ModelConfig(), dataset.vocab, seed=3)
+        cfg = LocalizationConfig(top_k=model.cfg.effective_top_k())
+        crops = [np.ascontiguousarray(s.image[:, :32, :48]) for s in dataset.scenes[:3]]
+        regions = list(dataset.regions()) + [(crop, phrase, (0, 0, 16, 16))
+                                             for crop, scene in zip(crops, dataset.scenes)
+                                             for phrase, _ in scene.regions]
+        order = np.random.default_rng(0).permutation(len(regions))
+        regions = [regions[i] for i in order]
+        points = _single_encode_points(model, regions, cfg)
+        report = eval_pointing(model, regions, cfg)
+        assert report.hits == [x <= px < x + w and y <= py < y + h
+                               for (_, _, (x, y, w, h)), (px, py) in zip(regions, points)]
+        # A one-pixel box on each single-encode peak: every batched peak is the same cell.
+        pinned = [(image, phrase, (int(px), int(py), 1, 1))
+                  for (image, phrase, _), (px, py) in zip(regions, points)]
+        assert all(eval_pointing(model, pinned, cfg).hits)
