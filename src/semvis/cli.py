@@ -13,7 +13,7 @@ codes: 0 success, 1 runtime failure, 2 usage error.  Every command is
 deterministic given its flags.
 
 `semvis train` takes one flag and one --config key per field of ``ModelConfig``
-and ``TrainSchedule``, plus ``seed``; a checkpoint stores the same fields.
+and ``TrainSchedule``, plus ``seed``; a checkpoint's header stores the same keys.
 Flags override config-file keys, which override the dataclass defaults;
 unknown config keys are rejected.
 """
@@ -34,7 +34,7 @@ from .data import CELLS, Dataset, SceneConfig, generate_dataset, read_dataset, w
 from .errors import CheckpointError, DegenerateInputError
 from .evaluate import RetrievalReport, eval_pointing, eval_retrieval
 from .localize import LocalizationConfig, activation_maps, heatmap, point, render_heatmap
-from .model import Model, ModelConfig, coerce_setting, setting_type
+from .model import Model, ModelConfig, coerce_number, setting_type, settings_from
 from .ppm import read_ppm
 from .text import tokenize
 from .train import (AdamState, TrainSchedule, load_checkpoint, save_checkpoint, train)
@@ -42,11 +42,6 @@ from .train import (AdamState, TrainSchedule, load_checkpoint, save_checkpoint, 
 SEED_DEFAULT = 1
 CORPUS_CHUNK = 64   # images or distinct captions per batched encode in evaluation
 _SETTINGS = (*fields(ModelConfig), *fields(TrainSchedule))
-
-
-def _from_values(cls, values: dict):
-    return cls(**{f.name: coerce_setting(f, values[f.name]) for f in fields(cls)
-                  if f.name in values})
 
 
 def _merge_config(args: argparse.Namespace,
@@ -58,7 +53,7 @@ def _merge_config(args: argparse.Namespace,
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:   # ValueError: bad UTF-8 or JSON
             parser.error(f"--config {args.config}: {exc}")
         if not isinstance(values, dict):
             parser.error(f"--config {args.config}: expected a JSON object")
@@ -67,9 +62,9 @@ def _merge_config(args: argparse.Namespace,
             parser.error(f"--config {args.config}: unknown keys {unknown}")
     values.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
     try:
-        return (_from_values(ModelConfig, values), _from_values(TrainSchedule, values),
-                int(values.get("seed", SEED_DEFAULT)))
-    except (TypeError, ValueError) as exc:
+        return (settings_from(ModelConfig, values), settings_from(TrainSchedule, values),
+                coerce_number("seed", values.get("seed", SEED_DEFAULT), minimum=0))
+    except ValueError as exc:
         parser.error(f"bad configuration: {exc}")
 
 

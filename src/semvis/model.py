@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
@@ -69,22 +70,36 @@ def setting_type(f: Field) -> type:
     return int if f.default is None else type(f.default)
 
 
+def coerce_number(name: str, value, kind: type = int, minimum=None):
+    """``value`` as a finite ``kind`` (int or float) of at least ``minimum``; a bool, a
+    string, a non-finite number or a fraction for an int is a ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return kind(value)
+
+
 def coerce_setting(f: Field, value):
-    """``value`` (from JSON, a flag or a checkpoint) as setting ``f`` holds it: a tuple
-    holds ints, and an optional int reads None or -1 as None.  A fractional value for
-    an int or a tuple entry is a ValueError, not a truncation."""
-    if f.default is None and value in (None, -1):
-        return None
+    """``value`` (from a --config file, a flag or a checkpoint header) as setting ``f``
+    holds it; a value of another type is a ValueError, not a conversion."""
     kind = setting_type(f)
+    if (value is None and f.default is None) or (kind is str and isinstance(value, str)):
+        return value
+    if kind is tuple and isinstance(value, list):
+        return tuple(coerce_number(f.name, c) for c in value)
+    if kind in (tuple, str):
+        raise ValueError(f"{f.name} must be a {'list' if kind is tuple else 'string'}, got {value!r}")
+    return coerce_number(f.name, value, kind)
 
-    def whole(v):
-        if isinstance(v, float) and not v.is_integer():
-            raise ValueError(f"{f.name} must be a whole number, got {v}")
-        return int(v)
 
-    if kind is tuple:
-        return tuple(whole(c) for c in value)
-    return whole(value) if kind is int else kind(value)
+def settings_from(cls, values: dict):
+    """Dataclass ``cls`` from the ``values`` named after its fields, via ``coerce_setting``."""
+    return cls(**{f.name: coerce_setting(f, values[f.name]) for f in fields(cls)
+                  if f.name in values})
 
 
 def param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:

@@ -28,13 +28,15 @@ _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 class Vocab:
-    """Token <-> index map with ``<unk>`` pinned at index 0."""
+    """Token <-> index map with ``<unk>`` pinned at index 0.  A token that is empty,
+    ``<unk>`` again or a repeat is refused, not dropped, so no later index moves."""
 
-    def __init__(self, tokens: Sequence[str]):
-        self.tokens = [UNK_TOKEN] + [t for t in tokens if t != UNK_TOKEN]
-        self.index = {t: i for i, t in enumerate(self.tokens)}
-        if len(self.index) != len(self.tokens):
-            raise ValueError("vocabulary contains duplicate tokens")
+    def __init__(self, tokens: Sequence[str], where: str = "vocabulary index"):
+        self.tokens = [UNK_TOKEN, *tokens]
+        self.index: dict[str, int] = {}
+        for i, t in enumerate(self.tokens):
+            if not isinstance(t, str) or not t or self.index.setdefault(t, i) != i:
+                raise ValueError(f"{where} {i}: {t!r} is not a new, nonempty token")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -57,7 +59,7 @@ class Vocab:
             tokens = [line.rstrip("\n") for line in fh]
         if not tokens or tokens[0] != UNK_TOKEN:
             raise ValueError(f"{path}: line 0 must be the literal token {UNK_TOKEN!r}")
-        return cls(tokens[1:])
+        return cls(tokens[1:], where=f"{path}: line")
 
 
 def split_words(text: str) -> list[str]:

@@ -18,25 +18,25 @@ caption sampling, dropout) is derived from (seed, epoch) keys, so a run is
 bit-reproducible and a resumed run continues the exact trajectory.
 
 Checkpoints are a single binary file, written beside the target and renamed
-over it: magic ``SVEC``, a u32 version, then
-three sections (model tensors, optimizer state, run state), each a u32
-entry count followed by entries of the form
+over it: magic ``SVEC``, a u32 version, a u32 length and a UTF-8 JSON header
+(the ``--config`` keys, ``next_epoch``, ``vocab`` after ``<unk>`` and
+``adam_steps``, read back through ``settings_from``), two sections, then a
+CRC32 of every byte before it.  A section is a u32 count of entries sorted by
+name, ``Model.params`` in the first and the Adam moments ``adam.m.<name>`` and
+``adam.v.<name>`` in the second, each of the form
 
     u32 name length | UTF-8 name | u32 rank | rank x u64 dims | f64 LE payload
-
-The model section also carries one ``config.<field>`` scalar per ``ModelConfig``
-field (a choice as its index, None as -1) and the vocabulary as ``vocab.*``
-byte arrays, so a checkpoint alone rebuilds a usable model; the run section
-carries one ``schedule.<field>`` scalar per ``TrainSchedule`` field.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, fields
+import zlib
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -44,13 +44,13 @@ from .autodiff import no_grad, stack_rows, take_rows, zero_grads
 from .data import Dataset
 from .errors import CheckpointError, ContractError
 from .loss import Batch, LossConfig, batch_loss
-from .model import Model, ModelConfig, coerce_setting, setting_type
+from .model import Model, ModelConfig, coerce_number, settings_from
 from .text import Vocab
 
 _EPOCH_SALT = 11
 
 CHECKPOINT_MAGIC = b"SVEC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Parameter-name prefixes that train from epoch zero.
 EARLY_TRAINABLE = ("sru.", "word.", "proj.")
@@ -281,16 +281,13 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
     def section(self) -> dict:
         out = {}
         for _ in range(self.u32()):
             # A name that is not UTF-8 fails the name checks like any other bad name.
             name = self.take(self.u32()).decode("utf-8", "replace")
             rank = self.u32()
-            shape = tuple(self.u64() for _ in range(rank))
+            shape = struct.unpack(f"<{rank}Q", self.take(8 * rank))
             raw = self.take(8 * math.prod(shape))
             try:   # numpy refuses ranks above 64 and dims it cannot index
                 out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
@@ -299,73 +296,49 @@ class _Reader:
         return out
 
 
-def _settings_entries(settings, prefix: str) -> dict:
-    """One float64 entry per dataclass field; a choice is stored as its index, None as -1."""
-    entries = {}
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        if "choices" in f.metadata:
-            value = f.metadata["choices"].index(value)
-        entries[prefix + f.name] = np.array(-1 if value is None else value, dtype=np.float64)
-    return entries
+HEADER_KEYS = {f.name for cls in (ModelConfig, TrainSchedule) for f in fields(cls)} | {
+    "seed", "next_epoch", "vocab", "adam_steps"}
 
 
-def _number(entries: dict, name: str, path, integral: bool = True, ndim: int = 0):
-    """Entry ``name`` as a number (a list at ``ndim`` 1), checked finite and maybe whole."""
-    if name not in entries:
-        raise CheckpointError(f"{path}: missing checkpoint entry {name}")
-    arr = entries[name]
-    if (arr.ndim != ndim or not np.isfinite(arr).all()
-            or (integral and (arr != np.round(arr)).any())):
-        raise CheckpointError(f"{path}: malformed checkpoint entry {name} (shape {arr.shape})")
-    return arr.tolist()
+def _encode(header: dict, params: dict, moments: dict) -> bytes:
+    """A checkpoint's bytes: magic, version, header, the two sections and the CRC32."""
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    out = io.BytesIO()
+    out.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(raw)) + raw)
+    _write_section(out, params)
+    _write_section(out, moments)
+    blob = out.getvalue()
+    return blob + struct.pack("<I", zlib.crc32(blob))
 
 
-def _decode_settings(cls, entries: dict, prefix: str, path):
-    """Rebuild dataclass ``cls`` from its ``prefix + field`` entries."""
-    values = {}
-    for f in fields(cls):
-        name, kind, choices = prefix + f.name, setting_type(f), f.metadata.get("choices")
-        value = _number(entries, name, path, kind is not float, 1 if kind is tuple else 0)
-        if choices:
-            if not 0 <= value < len(choices):
-                raise CheckpointError(f"{path}: {name} code {value} is not an index of {choices}")
-            value = choices[int(value)]
-        values[f.name] = coerce_setting(f, value)
+def _decode(blob: bytes, path) -> tuple[object, dict, dict]:
+    """The header, parameters and moments of checkpoint bytes: magic and version first."""
+    reader = _Reader(blob, path)
+    if reader.take(4) != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
+    version = reader.u32()
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    reader.blob = blob[:-4]
+    if len(blob) < 12 or zlib.crc32(reader.blob) != struct.unpack("<I", blob[-4:])[0]:
+        raise CheckpointError(f"{path}: checksum mismatch (corrupted or truncated file)")
+    raw = reader.take(reader.u32())
     try:
-        return cls(**values)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: checkpoint entries {prefix}*: {exc}") from None
-
-
-def _decode_vocab(entries: dict, path) -> Vocab:
-    tokens = []
-    while (name := f"vocab.{len(tokens):06d}") in entries:
-        try:
-            tokens.append(bytes(int(b) for b in _number(entries, name, path, ndim=1))
-                          .decode("utf-8"))
-        except ValueError:
-            raise CheckpointError(f"{path}: {name} is not a UTF-8 byte string") from None
-    if tokens[:1] != ["<unk>"] or len(set(tokens)) != len(tokens):
-        raise CheckpointError(f"{path}: the vocabulary must start with <unk> and repeat no token")
-    return Vocab(tokens[1:])
+        header = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: the header is not UTF-8 JSON: {exc}") from None
+    params, moments = reader.section(), reader.section()
+    if reader.pos != len(reader.blob):
+        raise CheckpointError(f"{path}: {len(reader.blob) - reader.pos} trailing bytes")
+    return header, params, moments
 
 
 def save_checkpoint(path, model: Model, state: AdamState, sched: TrainSchedule,
                     seed: int, next_epoch: int) -> None:
-    model_section = {name: p.data for name, p in model.params.items()}
-    model_section.update(_settings_entries(model.cfg, "config."))
-    for i, token in enumerate(model.vocab.tokens):
-        model_section[f"vocab.{i:06d}"] = np.frombuffer(token.encode("utf-8"), dtype=np.uint8)
-
-    opt_section = {}
-    for name in state.m:
-        opt_section[f"adam.m.{name}"] = state.m[name]
-        opt_section[f"adam.v.{name}"] = state.v[name]
-        opt_section[f"adam.t.{name}"] = np.float64(state.t[name])
-
-    run_section = {"seed": np.float64(seed), "next_epoch": np.float64(next_epoch),
-                   **_settings_entries(sched, "schedule.")}
+    header = {**asdict(model.cfg), **asdict(sched), "seed": seed, "next_epoch": next_epoch,
+              "vocab": model.vocab.tokens[1:], "adam_steps": state.t}
+    moments = {f"adam.{kind}.{name}": a for kind in "mv" for name, a in getattr(state, kind).items()}
+    blob = _encode(header, {name: p.data for name, p in model.params.items()}, moments)
 
     # Written beside the target, then renamed over it: a write that fails partway
     # leaves the previous checkpoint as it was.
@@ -373,11 +346,7 @@ def save_checkpoint(path, model: Model, state: AdamState, sched: TrainSchedule,
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            _write_section(fh, model_section)
-            _write_section(fh, opt_section)
-            _write_section(fh, run_section)
+            fh.write(blob)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -386,45 +355,28 @@ def save_checkpoint(path, model: Model, state: AdamState, sched: TrainSchedule,
 
 def load_checkpoint(path) -> CheckpointBundle:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    reader = _Reader(blob, path)
-    if reader.take(4) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
-    version = reader.u32()
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    model_section = reader.section()
-    opt_section = reader.section()
-    run_section = reader.section()
-    if reader.pos != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - reader.pos} trailing bytes")
-
-    cfg = _decode_settings(ModelConfig, model_section, "config.", path)
-    params = {k: v for k, v in model_section.items()
-              if not k.startswith(("config.", "vocab."))}
-    model = Model.from_params(cfg, _decode_vocab(model_section, path), params)
-
-    state = AdamState()
-    for key, arr in opt_section.items():
-        kind, _, name = key.partition(".")[2].partition(".")
-        if name not in model.params:
-            raise CheckpointError(f"{path}: optimizer state for unknown tensor {name!r}")
-        if kind in ("m", "v") and arr.shape != model.params[name].shape:
+        header, params, moments = _decode(fh.read(), path)
+    keys = set(header) if isinstance(header, dict) else set()
+    if keys != HEADER_KEYS:
+        raise CheckpointError(f"{path}: missing or unknown header keys {sorted(keys ^ HEADER_KEYS)}")
+    try:   # each value is checked as a --config value would be
+        cfg, sched = settings_from(ModelConfig, header), settings_from(TrainSchedule, header)
+        seed, next_epoch = (coerce_number(k, header[k], minimum=0) for k in ("seed", "next_epoch"))
+        if not (isinstance(header["vocab"], list) and isinstance(header["adam_steps"], dict)):
+            raise ValueError("vocab must be a list and adam_steps an object")
+        vocab = Vocab(header["vocab"])
+        state = AdamState(t={name: coerce_number(f"adam_steps.{name}", t, minimum=1)
+                             for name, t in header["adam_steps"].items()})
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: header: {exc}") from None
+    model = Model.from_params(cfg, vocab, params)
+    shapes = {f"adam.{kind}.{name}": p.shape for name, p in model.params.items() for kind in "mv"}
+    for key, arr in moments.items():
+        if arr.shape != shapes.get(key):
             raise CheckpointError(f"{path}: malformed checkpoint entry {key} (shape {arr.shape},"
-                                  f" expected {model.params[name].shape})")
-        if kind == "m":
-            state.m[name] = arr.copy()
-        elif kind == "v":
-            state.v[name] = arr.copy()
-        elif kind == "t":
-            state.t[name] = int(_number(opt_section, key, path))
-        else:
-            raise CheckpointError(f"{path}: unknown optimizer entry {key!r}")
-    for name in sorted(state.m.keys() | state.v.keys() | state.t.keys()):
-        for kind, table in (("m", state.m), ("v", state.v), ("t", state.t)):
-            if name not in table:   # adam_step needs all three once a tensor has any
-                raise CheckpointError(f"{path}: missing checkpoint entry adam.{kind}.{name}")
-
-    sched = _decode_settings(TrainSchedule, run_section, "schedule.", path)
-    return CheckpointBundle(model, state, sched, int(_number(run_section, "seed", path)),
-                            int(_number(run_section, "next_epoch", path)))
+                                  f" expected {shapes.get(key)})")
+        _, kind, name = key.split(".", 2)
+        getattr(state, kind)[name] = arr.copy()
+    if not state.m.keys() == state.v.keys() == state.t.keys():   # adam_step needs all three
+        raise CheckpointError(f"{path}: adam.m, adam.v and adam_steps name different tensors")
+    return CheckpointBundle(model, state, sched, seed, next_epoch)

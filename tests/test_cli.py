@@ -1,22 +1,28 @@
 """CLI subcommands: determinism, exit codes, JSON schemas."""
 
+import contextlib
 import filecmp
 import inspect
 import io
 import json
 import os
 import struct
+import zlib
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semvis
+from semvis import cli
 from semvis.cli import main
 from semvis.data import read_dataset
 from semvis.errors import CheckpointError
 from semvis.model import Model, ModelConfig
-from semvis.train import TrainSchedule, _Reader, _write_section, load_checkpoint
+from semvis.train import TrainSchedule, _decode, _encode, load_checkpoint
 
 TINY_FLAGS = ["--backbone-channels", "8", "--hidden-channels", "4,4,4",
               "--adapt-channels", "8", "--embed-dim", "16", "--word-dim", "8",
@@ -306,53 +312,65 @@ class TestLocalize:
         json.loads(out)
 
 
-def _with_sections(blob, edit):
-    """The checkpoint ``blob`` rewritten after ``edit(model, optimizer, run)`` changes
-    its three sections in place."""
-    reader = _Reader(blob, "ckpt")
-    reader.take(8)
-    sections = [reader.section() for _ in range(3)]
-    edit(*sections)
-    out = io.BytesIO()
-    out.write(blob[:8])
-    for section in sections:
-        _write_section(out, section)
-    return out.getvalue()
+def _with_header(blob, edit):
+    """The checkpoint ``blob`` rewritten, CRC32 resealed, after ``edit(header, params,
+    moments)`` changes its header and its two sections in place."""
+    header, params, moments = _decode(blob, "ckpt")
+    edit(header, params, moments)
+    return _encode(header, params, moments)
+
+
+def _resealed(blob):
+    """``blob`` with its CRC32 trailer recomputed, so an edit reaches the field checks."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+def _replaced(blob, old, new):
+    assert len(old) == len(new) and blob.count(old) == 1
+    return _resealed(blob.replace(old, new))
 
 
 def _overflowing_dims(blob):
-    # One model entry whose dims multiply to 2**64: np.prod would wrap to 0.
+    # One parameter whose dims multiply to 2**64: np.prod would wrap to 0.
+    end = 12 + struct.unpack("<I", blob[8:12])[0]
     name = b"proj.weight"
-    return (blob[:8] + struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
-            + struct.pack("<I", 2) + struct.pack("<QQ", 2 ** 32, 2 ** 32))
+    return _resealed(blob[:end] + struct.pack("<II", 1, len(name)) + name
+                     + struct.pack("<IQQ", 2, 2 ** 32, 2 ** 32) + bytes(4))
+
+
+def _header_edit(**values):
+    return lambda b: _with_header(b, lambda h, p, m: h.update(values))
 
 
 MALFORMED = {
-    "pooling code 5": (lambda b: _with_sections(
-        b, lambda m, o, r: m.update({"config.pooling": np.float64(5.0)})), "config.pooling"),
-    "no hidden_channels": (lambda b: _with_sections(
-        b, lambda m, o, r: m.pop("config.hidden_channels")), "config.hidden_channels"),
-    "embed_dim 0": (lambda b: _with_sections(
-        b, lambda m, o, r: m.update({"config.embed_dim": np.float64(0.0)})), "embed_dim"),
-    "vector pooling": (lambda b: _with_sections(
-        b, lambda m, o, r: m.update({"config.pooling": np.zeros(2)})), "config.pooling"),
-    "non-UTF-8 token": (lambda b: _with_sections(
-        b, lambda m, o, r: m.update({"vocab.000001": np.array([255.0, 254.0])})),
-        "vocab.000001"),
-    "batch_size 0": (lambda b: _with_sections(
-        b, lambda m, o, r: r.update({"schedule.batch_size": np.float64(0.0)})), "batch_size"),
+    "pooling code 5": (_header_edit(pooling=5), "pooling"),
+    "no hidden_channels": (lambda b: _with_header(
+        b, lambda h, p, m: h.pop("hidden_channels")), "hidden_channels"),
+    "embed_dim 0": (_header_edit(embed_dim=0), "embed_dim"),
+    "vector pooling": (_header_edit(pooling=[0, 0]), "pooling"),
+    "non-UTF-8 token": (lambda b: _replaced(b, b'"vocab": ["a"', b'"vocab": ["\xff"'),
+                        "UTF-8"),
+    "batch_size 0": (_header_edit(batch_size=0), "batch_size"),
     "overflowing dims": (_overflowing_dims, "truncated"),
-    "non-UTF-8 name": (lambda b: b.replace(b"config.pooling", b"config.pool\xffng"),
-                       "config.pooling"),
-    "adam moments of shape (1,)": (lambda b: _with_sections(
-        b, lambda m, o, r: o.update({"adam.m.proj.bias": np.zeros(1),
-                                     "adam.v.proj.bias": np.ones(1),
-                                     "adam.t.proj.bias": np.float64(1.0)})),
+    "non-UTF-8 name": (lambda b: _replaced(b, b"proj.weight", b"proj.wei\xffht"),
+                       "proj.weight"),
+    "adam moments of shape (1,)": (lambda b: _with_header(
+        b, lambda h, p, m: (m.update({"adam.m.proj.bias": np.zeros(1),
+                                      "adam.v.proj.bias": np.ones(1)}),
+                            h["adam_steps"].update({"proj.bias": 1}))),
         "adam.m.proj.bias"),
-    "adam.v missing": (lambda b: _with_sections(
-        b, lambda m, o, r: o.update({"adam.m.proj.bias": np.zeros(16),
-                                     "adam.t.proj.bias": np.float64(1.0)})),
-        "adam.v.proj.bias"),
+    "adam.v missing": (lambda b: _with_header(
+        b, lambda h, p, m: (m.update({"adam.m.proj.bias": np.zeros(16)}),
+                            h["adam_steps"].update({"proj.bias": 1}))),
+        "adam.v and adam_steps name different tensors"),
+    "lr0 NaN": (_header_edit(lr0=float("nan")), "lr0 must be a finite number"),
+    "hidden_channels string": (_header_edit(hidden_channels="4"), "hidden_channels"),
+    "embed_dim true": (_header_edit(embed_dim=True), "embed_dim"),
+    "top_k -1": (_header_edit(top_k=-1), "top_k"),
+    "<unk> token": (lambda b: _with_header(
+        b, lambda h, p, m: h["vocab"].insert(2, "<unk>")), "index 3"),
+    "seed string": (_header_edit(seed="3"), "seed"),
+    "version 1": (lambda b: b[:4] + struct.pack("<I", 1) + b[8:], "unsupported version 1"),
 }
 
 
@@ -381,18 +399,53 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=next(iter(bad))):
             ModelConfig(**bad)
 
-    @pytest.mark.parametrize("bad", [{"embed_dim": 16.9}, {"hidden_channels": [4, 4.5, 4]},
-                                     {"top_k": 2.5}])
+    # (config, the error's text); the last cases were accepted or converted once: a
+    # string of channels trained a one-block backbone and NaN ran until the loss.
+    @pytest.mark.parametrize("bad", [
+        ({"embed_dim": 16.9}, "embed_dim must be a whole number"),
+        ({"hidden_channels": [4, 4.5, 4]}, "hidden_channels must be a whole number"),
+        ({"top_k": 2.5}, "top_k must be a whole number"),
+        ({"hidden_channels": "4"}, "hidden_channels must be a list"),
+        ({"embed_dim": True}, "embed_dim must be a finite number"),
+        ({"lr0": "1e-3"}, "lr0 must be a finite number"),
+        ({"lr0": float("nan")}, "lr0 must be a finite number"),
+        ({"margin": float("inf")}, "margin must be a finite number"),
+        ({"lr0": 10 ** 400}, "lr0 must be a finite number"),
+        ({"hidden_channels": [4, True]}, "hidden_channels must be a finite number"),
+        ({"pooling": 0}, "pooling must be a string"),
+        ({"top_k": -1}, "top_k must be in"),
+        ({"seed": "3"}, "seed must be a finite number"),
+        ({"seed": -1}, "seed must be >= 0")])
     def test_fractional_integer_setting_exit_2(self, tmp_path, capsys, workspace, bad):
         _, data, _, _ = workspace
+        values, message = bad
         cfg_path = tmp_path / "frac.json"
-        cfg_path.write_text(json.dumps(bad))
+        cfg_path.write_text(json.dumps(values))
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
                   "--config", str(cfg_path)])
         assert exc.value.code == 2
-        assert "whole number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "\udcff"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, workspace, text):
+        _, data, _, _ = workspace
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
+                  "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_non_finite_flag_exit_2(self, tmp_path, capsys, workspace):
+        _, data, _, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
+                  "--lr0", "nan"])
+        assert exc.value.code == 2
+        assert "lr0 must be a finite number" in capsys.readouterr().err
 
     def test_unknown_pooling_flag_exit_2(self, tmp_path, workspace):
         _, data, _, _ = workspace
@@ -400,6 +453,54 @@ class TestConfigValidation:
             main(["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
                   "--pooling", "avg"])
         assert exc.value.code == 2
+
+
+_CONFIG_KEYS = [f.name for f in (*fields(ModelConfig), *fields(TrainSchedule))] + [
+    "seed", "next_epoch", "crop_augment"]
+# Numbers stay small: an accepted config initializes and saves a model of that size.
+_CONFIG_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, 0.5, 2.0, 4.0, 1e-3])
+    | st.sampled_from(["max_min", "mean", "hard", "random", "4", "1e-3", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=5)
+_PLAUSIBLE = {"hidden_channels": st.lists(st.integers(1, 4), max_size=3),
+              "pooling": st.sampled_from(["max_min", "mean"]),
+              "mining": st.sampled_from(["hard", "random"]), "top_k": st.none() | st.integers(1, 4),
+              "lr0": st.floats(1e-4, 1.0), "margin": st.floats(0.01, 1.0),
+              "visual_dropout": st.floats(0.0, 0.9), "sru_dropout": st.floats(0.0, 0.9)}
+_CONFIG_TEXT = (st.lists(st.sampled_from(_CONFIG_KEYS), max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _PLAUSIBLE.get(k, st.integers(0, 4)) | _CONFIG_VALUE
+                                        for k in keys})).map(json.dumps).map(str.encode)
+                | st.sampled_from([b"[" * 100_000, b"\xff{}", b"[1, 2]", b"NaN", b"", b"{"])
+                | st.binary(max_size=12))
+
+
+class TestConfigProperty:
+    """A --config file gives exit 2, or a checkpoint whose header holds its values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_CONFIG_TEXT)
+    def test_config_file(self, tmp_path_factory, workspace, text):
+        _, data, _, _ = workspace
+        root = tmp_path_factory.getbasetemp()
+        cfg_path, out = root / "property.json", root / "property.ckpt"
+        cfg_path.write_bytes(text)
+        out.unlink(missing_ok=True)
+        argv = ["train", "--data", str(data), "--out", str(out), "--config", str(cfg_path)]
+        with mock.patch.object(cli, "train", lambda *args, **kwargs: []), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                assert main(argv) == 0
+            except SystemExit as exc:
+                assert exc.code == 2 and not out.exists()
+                return
+        bundle = load_checkpoint(out)
+        for key, value in json.loads(text).items():
+            held = (bundle.seed if key == "seed" else getattr(
+                bundle.model.cfg if hasattr(bundle.model.cfg, key) else bundle.schedule, key))
+            assert (list(held) if isinstance(held, tuple) else held) == value, key
 
 
 class TestTopLevel:

@@ -52,6 +52,18 @@ class TestVocabFile:
         with pytest.raises(ValueError):
             Vocab.from_file(path)
 
+    # A dropped line would move every later token's index down by one.
+    @pytest.mark.parametrize("lines, bad", [(["<unk>", "a", "<unk>", "red"], 2),
+                                            (["<unk>", "a", "", "red"], 2),
+                                            (["<unk>", "a", "red", "a"], 3)])
+    def test_bad_line_rejected_with_its_number(self, tmp_path, lines, bad):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"vocab.txt: line {bad}: "):
+            Vocab.from_file(path)
+        with pytest.raises(ValueError, match=f"vocabulary index {bad}: "):
+            Vocab(lines[1:])
+
 
 def zero_layer(hidden, in_dim=None):
     """Layer 0's tensors, all zero."""

@@ -1,24 +1,30 @@
 """Optimizer, schedule, epoch loop, checkpoint round-trips."""
 
 import hashlib
+import io
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semvis.train as train_module
-from semvis import autodiff, visual
+from semvis import autodiff, errors, visual
 from semvis.autodiff import Tensor
+from semvis.cli import main
 from semvis.data import generate_dataset
 from semvis.errors import CheckpointError, ContractError
 from conftest import MICRO_CONFIG, per_example_train_epoch
 from semvis.model import Model, ModelConfig
+from semvis.ppm import write_ppm
 from semvis.text import Vocab
 from semvis.train import (AdamState, TrainSchedule, adam_step, effective_lr,
                           load_checkpoint, save_checkpoint, train, train_epoch,
                           trainable_set)
-from semvis.train import _write_entry  # for the malformed-checkpoint test
+from semvis.train import HEADER_KEYS, _decode, _encode  # for the malformed-checkpoint tests
 
 TINY = dict(backbone_channels=8, hidden_channels=(4, 4, 4), adapt_channels=8,
             embed_dim=16, word_dim=8, sru_layers=1)
@@ -253,10 +259,11 @@ class TestTrainEpoch:
 
 
 # Digests of initialized models saved with AdamState(), TrainSchedule() and
-# next_epoch=0, recorded before the parameters were addressed only by name.
+# next_epoch=0 in format version 2 (the JSON header).  Their parameter entries
+# are byte for byte those of version 1.
 GOLDEN_CHECKPOINTS = {
-    "micro": (6654, "7fe23c210cf4dfc31007f2e1237547876d50845f25a70dcdf9aefcabb58b363f"),
-    "default": (759328, "6b5621d1b7f0f477556f8ddc5c10f9f35b6adefe764dc1eda82941083feacb33"),
+    "micro": (5991, "e8539563ef185847221c85adcda142623bf2c08b8384f5dd2140b07ed8c69563"),
+    "default": (758238, "5145c5d581d1447d30da9da8ec914c7bf73ed1c3744770e557530c0c7fac9b00"),
 }
 
 
@@ -279,19 +286,18 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, AdamState(), TrainSchedule(), seed=1, next_epoch=0)
         before = path.read_bytes()
-        real_write_section, sections = train_module._write_section, []
+        written = []
 
-        def failing_write_section(fh, entries):
-            sections.append(entries)
-            if len(sections) == 2:
-                fh.write(b"partial")
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                written.append(super().write(bytes(data)[:len(data) // 2]))
                 raise OSError("disk full")
-            real_write_section(fh, entries)
 
-        monkeypatch.setattr(train_module, "_write_section", failing_write_section)
+        monkeypatch.setattr(train_module, "open", FullDisk, raising=False)
         model.params["proj.bias"].data += 1.0
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model, AdamState(), TrainSchedule(), seed=1, next_epoch=1)
+        assert written and written[0] > 0
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.ckpt"]
 
@@ -390,13 +396,108 @@ class TestCheckpoint:
         model, _ = tiny_setup()
         path = tmp_path / "extra.ckpt"
         save_checkpoint(path, model, AdamState(), TrainSchedule(), seed=1, next_epoch=0)
-        blob = path.read_bytes()
-        # Splice one bogus tensor into the model section and bump its count.
-        count = struct.unpack("<I", blob[8:12])[0]
-        import io
-        extra = io.BytesIO()
-        _write_entry(extra, "bogus.weight", np.zeros(3))
-        patched = (blob[:8] + struct.pack("<I", count + 1) + extra.getvalue() + blob[12:])
-        path.write_bytes(patched)
+        # Add one bogus tensor to the parameter section and reseal the checksum.
+        header, params, moments = _decode(path.read_bytes(), path)
+        params["bogus.weight"] = np.zeros(3)
+        path.write_bytes(_encode(header, params, moments))
         with pytest.raises(CheckpointError, match="bogus.weight"):
             load_checkpoint(path)
+
+    def test_every_bit_flip_and_truncation_is_refused(self, tmp_path, capsys, micro_model):
+        path = tmp_path / "micro.ckpt"
+        save_checkpoint(path, micro_model, AdamState(), TrainSchedule(), seed=5, next_epoch=0)
+        blob = path.read_bytes()
+        damaged = [blob[:n] for n in range(len(blob))]
+        for offset in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[offset] ^= 1 << offset % 8
+            damaged.append(bytes(flipped))
+        image = tmp_path / "image.ppm"
+        write_ppm(image, np.zeros((3, 16, 16), dtype=np.uint8))
+        for i, bad in enumerate(damaged):
+            path.write_bytes(bad)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            if i % 499 == 0:   # and the CLI reports it as a runtime failure
+                argv = ["localize", "--ckpt", str(path), "--image", str(image),
+                        "--text", "red", "--out", str(tmp_path / "o")]
+                assert main(argv) == 1
+                assert capsys.readouterr().err.startswith("error:")
+
+
+TYPED_ERRORS = tuple(v for v in vars(errors).values()
+                     if isinstance(v, type) and v.__module__ == errors.__name__)
+_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.integers() | st.floats()
+    | st.sampled_from(["max_min", "mean", "hard", "random", "<unk>", "", "red"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["proj.bias", "proj.weight", "bogus"]) | st.text(max_size=4),
+        inner, max_size=3),
+    max_leaves=6)
+# (key, delete it, else the value to set)
+_HEADER_EDIT = st.tuples(st.sampled_from(sorted(HEADER_KEYS) + ["extra"]), st.booleans(), _VALUE)
+_OFFSET = st.integers(0, 600) | st.integers(0, 10 ** 6)   # the header, or anywhere
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint(tmp_path_factory):
+    """The bytes of a micro model's checkpoint with Adam state for two tensors."""
+    vocab = Vocab(["red", "circle", "a", "blue", "square", "the", "is"])
+    model = Model.initialize(ModelConfig(**MICRO_CONFIG), vocab, seed=5)
+    state = AdamState()
+    for name in ("proj.bias", "sru.1.weight"):
+        shape = model.params[name].shape
+        state.m[name], state.v[name], state.t[name] = np.full(shape, 0.1), np.ones(shape), 3
+    path = tmp_path_factory.mktemp("micro") / "micro.ckpt"
+    save_checkpoint(path, model, state, TrainSchedule(epochs=4), seed=5, next_epoch=2)
+    return path.read_bytes()
+
+
+def _load_or_typed_error(tmp_path_factory, blob):
+    """Load ``blob``: a ``semvis.errors`` type, or a bundle that re-saves to a checkpoint
+    which loads and re-saves to the same bytes."""
+    path = tmp_path_factory.getbasetemp() / "property.ckpt"
+    path.write_bytes(blob)
+    try:
+        bundle = load_checkpoint(path)
+    except TYPED_ERRORS:
+        return
+    saved = []
+    for _ in range(2):
+        save_checkpoint(path, bundle.model, bundle.opt_state, bundle.schedule, bundle.seed,
+                        bundle.next_epoch)
+        saved.append(path.read_bytes())
+        bundle = load_checkpoint(path)
+    assert saved[0] == saved[1]
+    assert type(bundle.seed) is int and type(bundle.next_epoch) is int
+
+
+class TestHostileCheckpointProperties:
+    """A checkpoint loads as a valid bundle or raises a ``semvis.errors`` type."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(_HEADER_EDIT, min_size=1, max_size=3), reseal=st.booleans())
+    def test_header_edits(self, tmp_path_factory, micro_checkpoint, edits, reseal):
+        header, params, moments = _decode(micro_checkpoint, "micro")
+        for key, delete, value in edits:
+            if delete:
+                header.pop(key, None)
+            else:
+                header[key] = value
+        blob = _encode(header, params, moments)
+        _load_or_typed_error(tmp_path_factory,
+                             blob if reseal else blob[:-4] + micro_checkpoint[-4:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(_OFFSET, st.integers(0, 255)), max_size=4),
+           cut=st.none() | _OFFSET, tail=st.binary(max_size=8), reseal=st.booleans())
+    def test_byte_edits(self, tmp_path_factory, micro_checkpoint, edits, cut, tail, reseal):
+        blob = bytearray(micro_checkpoint)
+        for offset, byte in edits:
+            blob[offset % len(blob)] = byte
+        if cut is not None:
+            blob = blob[:cut % len(blob)] + tail
+        if reseal:
+            blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+        _load_or_typed_error(tmp_path_factory, bytes(blob))
