@@ -7,9 +7,9 @@ All arithmetic is float64 so that finite-difference gradient checks are
 decisive.
 
 Image ops take a channel-major (C, N, H, W) batch, or one (C, H, W) image
-as a batch of one; ``conv2d`` is one node per batch, gathers its patches
-image by image and fuses its channel bias and ReLU, so it keeps one
-activation alive.
+as a batch of one; ``conv2d`` is one node per batch, gathers each image's
+patches with one lookup through a cached index table and fuses its channel
+bias and ReLU, so it keeps one activation alive.
 Pooling yields (N, C) rows, and the row-wise ops (``linear``,
 ``l2_normalize``, ``dropout``) treat a vector as a batch of one.  A batched
 op computes each example with the same BLAS calls as a batch of one would,
@@ -23,8 +23,8 @@ reverse topological order.  Inside ``with no_grad():`` ops record nothing,
 so evaluation keeps no closures or buffers alive.  Tensors are immutable
 after creation except for gradient accumulation (and in-place parameter
 updates by an optimizer that owns them exclusively); a graph is
-single-threaded, but independent graphs share no mutable state and may run
-in parallel threads.
+single-threaded, but independent graphs share no mutable state (the cached
+conv2d tables are read-only) and may run in parallel threads.
 
 Dropout takes an explicit seed (an int or a tuple of ints), so a forward
 pass is reproducible bit-for-bit from the seed alone.
@@ -33,6 +33,7 @@ pass is reproducible bit-for-bit from the seed alone.
 from __future__ import annotations
 
 import ctypes
+import functools
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -458,6 +459,21 @@ def l2_normalize(a: Tensor) -> Tensor:
 # spatial ops
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _patch_index(cin: int, h: int, w: int, kh: int, kw: int, stride: int,
+                 pad: int) -> np.ndarray:
+    """The read-only im2col table of a (cin, h, w) image: entry ((ci, i, j), (y, x)) is
+    the flat position of cell (ci, y*stride + i - pad, x*stride + j - pad), or cin*h*w,
+    one past the image, where that cell lies in the padding."""
+    ys = np.arange(kh)[:, None, None, None] + np.arange(-pad, h + pad - kh + 1, stride)[:, None]
+    xs = np.arange(kw)[:, None, None] + np.arange(-pad, w + pad - kw + 1, stride)
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)   # (kh, kw, h_out, w_out)
+    cells = np.arange(cin)[:, None, None, None, None] * (h * w) + ys * w + xs
+    index = np.where(inside, cells, cin * h * w).reshape(cin * kh * kw, -1)
+    index.flags.writeable = False
+    return index
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
            bias: Tensor | None = None, relu: bool = False) -> Tensor:
     """Strided 2-d cross-correlation (no kernel flip), with an optional per-channel
@@ -465,10 +481,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
 
     ``x`` is a channel-major batch (Cin, N, H, W) or one image (Cin, H, W), and
     ``kernel`` (Cout, Cin, kh, kw); the output keeps the layout.  Each image's
-    patches are gathered (im2col) and multiplied by the kernel on their own, one
-    GEMM per image into the batch's output: BLAS may round one wide GEMM
+    patch matrix (im2col) is one ``take`` through its geometry's cached index table
+    from a flat copy of the image that ends in the zero that padding reads, and meets
+    the kernel in its own GEMM into the batch's output: BLAS may round one wide GEMM
     differently, and a one-image patch matrix stays small.  The kernel gradient
-    gathers the patches again instead of keeping them alive.  Output spatial size is
+    gathers the patches again instead of keeping them alive; the input gradient
+    scatters back with one ``bincount`` over the table, which adds each cell's
+    contributions in kernel-offset order, from 0.0.  Output spatial size is
     floor((H + 2*pad - kh)/stride) + 1 (same for W); a zero-size output raises
     ShapeError.
     """
@@ -492,18 +511,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     n = batch[0] if batch else 1
     images = x.data.reshape(cin, n, h, w)
     k2 = kernel.data.reshape(cout, -1)
+    index = _patch_index(cin, h, w, kh, kw, stride, pad)
+    flat = np.zeros(cin * h * w + 1)   # one image, then the zero that padding reads
 
     def patches(k: int) -> np.ndarray:
-        # im2col of image k: one strided view of its zero-padded copy per kernel offset.
-        xp = images[:, k]
-        if pad:
-            xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-            xp[:, pad:pad + h, pad:pad + w] = images[:, k]
-        cols = np.empty((cin, kh, kw, h_out, w_out), dtype=np.float64)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = xp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
-        return cols.reshape(cin * kh * kw, h_out * w_out)
+        flat[:-1].reshape(cin, h, w)[...] = images[:, k]
+        return flat.take(index)
 
     out = np.empty((cout, n, h_out * w_out))
     for k in range(n):
@@ -523,15 +536,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
             _accum(kernel, sum_examples(n, lambda k: g[:, k] @ patches(k).T
                                         ).reshape(kernel.data.shape))
         if x.requires_grad:
-            gx = np.empty((cin, n, h, w), dtype=np.float64)
+            gx = np.empty((cin, n, h * w), dtype=np.float64)
             for k in range(n):
-                gcols = (k2.T @ g[:, k]).reshape(cin, kh, kw, h_out, w_out)
-                gxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += (
-                            gcols[:, i, j])
-                gx[:, k] = gxp[:, pad:pad + h, pad:pad + w]
+                gx[:, k] = np.bincount(index.ravel(), (k2.T @ g[:, k]).ravel(),
+                                       flat.size)[:-1].reshape(cin, h * w)
             _accum(x, gx.reshape(x.data.shape))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)

@@ -246,7 +246,11 @@ def read_dataset(in_dir) -> Dataset:
                     OSError) as exc:
                 raise ManifestError(line_no, str(exc)) from None
             scenes.append(Scene(scene_id, image, objects, captions, regions))
-    return Dataset(scenes, Vocab.from_file(os.path.join(in_dir, "vocab.txt")))
+    try:
+        vocab = Vocab.from_file(os.path.join(in_dir, "vocab.txt"))
+    except (OSError, ValueError) as exc:
+        raise ManifestError(0, str(exc)) from None
+    return Dataset(scenes, vocab)
 
 
 def _dataset_file(in_dir, rel: str) -> str:

@@ -23,7 +23,8 @@ class GenerationError(RuntimeError):
 
 class ManifestError(ValueError):
     """A dataset manifest line, or a raster it names, could not be parsed (line 0: a
-    raster read on its own, reported without a line prefix)."""
+    raster read on its own, or the dataset's vocabulary file, reported without a line
+    prefix)."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"manifest line {line_no}: {message}" if line_no else message)

@@ -55,8 +55,16 @@ class Vocab:
 
     @classmethod
     def from_file(cls, path) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+        """Read ``to_file``'s lines (ended by \\n, \\r\\n or \\r); a line that is not
+        UTF-8 or not a new token, or a line 0 other than ``<unk>``, raises ValueError
+        naming the file and the line."""
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        try:
+            tokens = [line.decode("utf-8") for line in lines]
+        except UnicodeDecodeError as exc:   # the first line equal to the failing one is it
+            raise ValueError(f"{path}: line {lines.index(exc.object)}: not UTF-8 "
+                             f"({exc.reason})") from None
         if not tokens or tokens[0] != UNK_TOKEN:
             raise ValueError(f"{path}: line 0 must be the literal token {UNK_TOKEN!r}")
         return cls(tokens[1:], where=f"{path}: line")

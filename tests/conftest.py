@@ -164,6 +164,63 @@ def naive_conv2d(x, kernel, stride, pad):
     return out
 
 
+def np_pad_conv2d(x, kernel, stride=1, pad=0, bias=None, relu=False):
+    """``ad.conv2d`` the per-offset way: im2col over an ``np.pad``-ed copy of each
+    image and col2im back into one, one strided slice per kernel offset.
+
+    Everything else follows the library's arithmetic: one GEMM per image into the
+    batch's output, the fused bias and ReLU, and kernel and bias gradients summed
+    over the images the last first (``ad.sum_examples``).  Each input-gradient cell
+    gets its contributions in kernel-offset order, starting from 0.0.  So the two
+    agree bit for bit.
+    """
+    cin, *batch, h, w = x.data.shape
+    cout, _, kh, kw = kernel.data.shape
+    n = batch[0] if batch else 1
+    h_out = (h + 2 * pad - kh) // stride + 1
+    w_out = (w + 2 * pad - kw) // stride + 1
+    padded = np.pad(x.data.reshape(cin, n, h, w), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    k2 = kernel.data.reshape(cout, -1)
+    windows = [(i, j, np.s_[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride])
+               for i in range(kh) for j in range(kw)]
+
+    def patches(k):
+        cols = np.empty((cin, kh, kw, h_out, w_out))
+        for i, j, window in windows:
+            cols[:, i, j] = padded[:, k][window]
+        return cols.reshape(cin * kh * kw, h_out * w_out)
+
+    out = np.empty((cout, n, h_out * w_out))
+    for k in range(n):
+        np.matmul(k2, patches(k), out=out[:, k])
+    if bias is not None:
+        out += bias.data[:, None, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def backward(g, acc):
+        g = g.reshape(out.shape)
+        if relu:
+            g = g * (out > 0.0)
+        if bias is not None:
+            acc(bias, ad.sum_examples(n, lambda k: g[:, k].sum(axis=1)))
+        if kernel.requires_grad:
+            acc(kernel, ad.sum_examples(n, lambda k: g[:, k] @ patches(k).T)
+                .reshape(kernel.data.shape))
+        if x.requires_grad:
+            gx = np.empty((cin, n, h, w))
+            for k in range(n):
+                gcols = (k2.T @ g[:, k]).reshape(cin, kh, kw, h_out, w_out)
+                gxp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
+                for i, j, window in windows:
+                    gxp[window] += gcols[:, i, j]
+                gx[:, k] = gxp[:, pad:pad + h, pad:pad + w]
+            acc(x, gx.reshape(x.data.shape))
+
+    parents = [x, kernel] if bias is None else [x, kernel, bias]
+    return ad.fused_op(out.reshape(cout, *batch, h_out, w_out), parents, "conv2d", backward)
+
+
 def argsort_retrieval_ranks(sim, owners):
     """Caption-side and image-side best-match ranks by one stable descending
     ``argsort`` per row and per column."""

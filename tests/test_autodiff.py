@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import add_channel_bias, reduce_max, scale, sigmoid, slice_rows, stack1d, tanh
+from conftest import (add_channel_bias, naive_conv2d, np_pad_conv2d, reduce_max, scale, sigmoid,
+                      slice_rows, stack1d, tanh)
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import DegenerateInputError, GraphError, ShapeError
@@ -44,38 +45,6 @@ class TestMatmul:
         assert err < 1e-6
 
 
-def naive_conv2d(x, kernel, stride, pad):
-    """Direct quadruple-loop cross-correlation, the independent oracle."""
-    cin, h, w = x.shape
-    cout, _, kh, kw = kernel.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    h_out = (h + 2 * pad - kh) // stride + 1
-    w_out = (w + 2 * pad - kw) // stride + 1
-    out = np.zeros((cout, h_out, w_out))
-    for co in range(cout):
-        for i in range(h_out):
-            for j in range(w_out):
-                patch = xp[:, i * stride:i * stride + kh, j * stride:j * stride + kw]
-                out[co, i, j] = np.sum(patch * kernel[co])
-    return out
-
-
-def np_pad_conv2d(x, kernel, stride, pad):
-    """im2col over an ``np.pad``-ed copy, in the same arithmetic order as conv2d,
-    so the two must agree bit for bit."""
-    cin, h, w = x.shape
-    cout, _, kh, kw = kernel.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    h_out = (h + 2 * pad - kh) // stride + 1
-    w_out = (w + 2 * pad - kw) // stride + 1
-    cols = np.empty((cin, kh, kw, h_out, w_out))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
-    out = kernel.reshape(cout, -1) @ cols.reshape(cin * kh * kw, h_out * w_out)
-    return out.reshape(cout, h_out, w_out)
-
-
 class TestConv2d:
     def test_1x1_kernel_doubles(self):
         x = randt(0, 1, 3, 3)
@@ -99,10 +68,53 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_equals_np_pad_oracle_exactly(self, pad, stride):
         rng = np.random.default_rng(10 * pad + stride)
-        x = rng.normal(size=(3, 8, 7))
-        k = rng.normal(size=(4, 3, 3, 3))
-        got = ad.conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad).data
-        np.testing.assert_array_equal(got, np_pad_conv2d(x, k, stride, pad))
+        x = Tensor(rng.normal(size=(3, 8, 7)))
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)))
+        np.testing.assert_array_equal(ad.conv2d(x, k, stride=stride, pad=pad).data,
+                                      np_pad_conv2d(x, k, stride, pad).data)
+
+    @staticmethod
+    def _assert_matches_per_offset_reference(x, kernel, stride, pad, seed):
+        """Output and every gradient of ``conv2d`` against ``np_pad_conv2d``, bit for bit."""
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=kernel.shape[0])
+        for bias, relu in [(False, False), (True, True)]:
+            results = []
+            for conv in (ad.conv2d, np_pad_conv2d):
+                xs, ks = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
+                bs = Tensor(b, requires_grad=True) if bias else None
+                out = conv(xs, ks, stride, pad, bias=bs, relu=relu)
+                weights = Tensor(np.random.default_rng(seed + 1).normal(size=out.shape))
+                ad.reduce_sum(ad.mul(out, weights)).backward()
+                results.append((out.data, xs.grad, ks.grad, bs.grad if bias else 0.0))
+            for got, want in zip(*results):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("stride,pad,kernel_hw,shape", [
+        (1, 0, (3, 3), (2, 3, 6, 5)),
+        (1, 1, (3, 2), (2, 1, 5, 7)),
+        (2, 1, (3, 3), (3, 3, 8, 8)),
+        (2, 0, (3, 2), (2, 3, 8, 9)),     # (h - kh) % stride != 0 on both sides
+        (3, 1, (3, 2), (2, 3, 9, 7)),
+        (3, 2, (3, 3), (2, 1, 8, 7)),
+        (1, 0, (1, 1), (4, 3, 3, 5)),
+        (2, 2, (1, 1), (2, 3, 5, 4)),     # pad >= kh: the border outputs read only padding
+        (3, 2, (2, 1), (2, 3, 4, 4)),     # pad >= kh and kw
+        (2, 1, (3, 3), (3, 8, 8)),        # one image, no batch axis
+    ])
+    def test_equals_per_offset_reference_bit_for_bit(self, stride, pad, kernel_hw, shape):
+        rng = np.random.default_rng(sum(shape) + 10 * stride + pad)
+        x = rng.normal(size=shape)
+        kernel = rng.normal(size=(4, shape[0], *kernel_hw))
+        self._assert_matches_per_offset_reference(x, kernel, stride, pad, seed=len(shape))
+
+    def test_a_new_image_size_gets_its_own_table(self):
+        """Two sizes with the same channels, kernel, stride and pad, one after the other."""
+        rng = np.random.default_rng(12)
+        kernel = rng.normal(size=(3, 2, 3, 3))
+        for side in [(64, 64), (32, 48), (64, 64)]:
+            x = rng.uniform(size=(2, 2, *side))
+            self._assert_matches_per_offset_reference(x, kernel, 2, 1, seed=side[1])
 
     def test_zero_size_output_rejected(self):
         with pytest.raises(ShapeError):
@@ -112,6 +124,15 @@ class TestConv2d:
         x = randt(10, 2, 5, 5)
         k = randt(11, 3, 2, 3, 3)
         err = ad.grad_check(lambda: ad.reduce_sum(ad.conv2d(x, k, stride=2, pad=1)), [x, k])
+        assert err < 1e-5
+
+    def test_non_square_stride_3_gradient_matches_finite_differences(self):
+        x = randt(12, 2, 2, 8, 7)
+        k = randt(13, 3, 2, 3, 2)
+        b = randt(14, 3)
+        w = Tensor(np.random.default_rng(15).normal(size=(3, 2, 3, 3)))
+        err = ad.grad_check(
+            lambda: ad.reduce_sum(ad.mul(ad.conv2d(x, k, stride=3, pad=1, bias=b), w)), [x, k, b])
         assert err < 1e-5
 
 

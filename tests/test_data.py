@@ -223,6 +223,26 @@ class TestHostileManifest:
         assert str(info.value).count("manifest line") == 1
         assert "truncated pixel data" in str(info.value)
 
+    @pytest.mark.parametrize("vocab, message", [
+        (None, r"No such file.*vocab\.txt"),
+        (b"<unk>\nred\n\xff\xfeblue\n", r"vocab\.txt: line 2: not UTF-8"),
+        (b"<unk>\nred\n\nblue\n", r"vocab\.txt: line 2: '' is not a new"),
+        (b"<unk>\nred\nblue\nred\n", r"vocab\.txt: line 3: 'red' is not a new"),
+        (b"<unk>\nred\n<unk>\nblue\n", r"vocab\.txt: line 2: '<unk>' is not a new"),
+        (b"red\n<unk>\n", r"vocab\.txt: line 0 must be"),
+        (b"", r"vocab\.txt: line 0 must be"),
+    ], ids=["missing", "not-utf-8", "blank-line", "repeated-token", "second-unk",
+            "line-0-not-unk", "empty"])
+    def test_bad_vocabulary_file_names_its_line(self, tmp_path, vocab, message):
+        write_dataset(generate_dataset(2, seed=9), tmp_path)
+        path = tmp_path / "vocab.txt"
+        path.unlink()
+        if vocab is not None:
+            path.write_bytes(vocab)
+        with pytest.raises(ManifestError, match=message) as info:
+            read_dataset(tmp_path)
+        assert info.value.line_no == 0 and "manifest line" not in str(info.value)
+
 
 def _check_image(image):
     assert isinstance(image, np.ndarray) and image.dtype == np.uint8
@@ -248,6 +268,9 @@ _RECORD = st.fixed_dictionaries({}, optional={
                               "../000000.ppm"]) | _JSON,
     "captions": st.lists(st.text(max_size=12), max_size=3) | _JSON,
     "regions": st.lists(_REGION, max_size=3) | _JSON})
+_VOCAB = (st.lists(st.sampled_from(["<unk>", "red", "circle", "", " ", "\r"]) | st.text(max_size=4),
+                   max_size=4).map(lambda tokens: "\n".join(tokens).encode())
+          | st.binary(max_size=12))
 _LINE = _RECORD.map(lambda r: json.dumps(r).encode()) | st.text(max_size=30).map(str.encode) | st.binary(max_size=30)
 
 
@@ -267,17 +290,23 @@ class TestHostileInputProperties:
         _check_image(image)
 
     @settings(max_examples=300, deadline=None)
-    @given(lines=st.lists(_LINE, max_size=3))
-    def test_read_dataset(self, tmp_path_factory, lines):
+    @given(lines=st.lists(_LINE, max_size=3), vocab=st.none() | _VOCAB)
+    def test_read_dataset(self, tmp_path_factory, lines, vocab):
+        """``vocab`` None keeps the dataset's own vocabulary file."""
         root = tmp_path_factory.getbasetemp() / "property-dataset"
         if not root.exists():
             write_dataset(generate_dataset(1, seed=4), root)
+            (root / "vocab.orig").write_bytes((root / "vocab.txt").read_bytes())
         (root / "manifest.jsonl").write_bytes(b"\n".join(lines))
+        (root / "vocab.txt").write_bytes((root / "vocab.orig").read_bytes() if vocab is None
+                                         else vocab)
         try:
             dataset = read_dataset(root)
         except TYPED_ERRORS:
             return
         assert isinstance(dataset, Dataset)
+        tokens = dataset.vocab.tokens
+        assert tokens[0] == "<unk>" and all(tokens) and len(set(tokens)) == len(tokens)
         ids = [scene.scene_id for scene in dataset.scenes]
         assert all(type(i) is int for i in ids) and len(set(ids)) == len(ids)
         for scene in dataset.scenes:

@@ -17,7 +17,7 @@ from semvis.autodiff import Tensor
 from semvis.cli import main
 from semvis.data import generate_dataset
 from semvis.errors import CheckpointError, ContractError
-from conftest import MICRO_CONFIG, per_example_train_epoch
+from conftest import MICRO_CONFIG, np_pad_conv2d, per_example_train_epoch
 from semvis.model import Model, ModelConfig
 from semvis.ppm import write_ppm
 from semvis.text import Vocab
@@ -226,6 +226,22 @@ class TestTrainEpoch:
             assert got == want
         for name, p in batched.params.items():
             np.testing.assert_array_equal(p.data, oracle.params[name].data)
+
+    def test_training_matches_the_per_offset_conv_reference(self, tmp_path, monkeypatch):
+        """Two epochs, the second through the convolutions' backward, with the
+        library's conv2d and with the per-offset reference: the same checkpoint bytes."""
+        blobs = []
+        for conv in (autodiff.conv2d, np_pad_conv2d):
+            monkeypatch.setattr(autodiff, "conv2d", conv)
+            dataset = generate_dataset(8, seed=3)
+            model = Model.initialize(ModelConfig(), dataset.vocab, seed=1)
+            sched = TrainSchedule(epochs=2, batch_size=8, freeze_epochs=1)
+            state = AdamState()
+            train(model, dataset, sched, seed=1, state=state)
+            path = tmp_path / f"{len(blobs)}.ckpt"
+            save_checkpoint(path, model, state, sched, seed=1, next_epoch=2)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_loss_decreases_over_a_short_run(self):
         model, dataset = tiny_setup(n_scenes=48)
