@@ -22,9 +22,12 @@ gradient to them.  ``Tensor.backward()`` walks the recorded graph once in
 reverse topological order.  Inside ``with no_grad():`` ops record nothing,
 so evaluation keeps no closures or buffers alive.  Tensors are immutable
 after creation except for gradient accumulation (and in-place parameter
-updates by an optimizer that owns them exclusively); a graph is
-single-threaded, but independent graphs share no mutable state (the cached
-conv2d tables are read-only) and may run in parallel threads.
+updates by an optimizer that owns them exclusively).  A graph is built and
+back-propagated by one user thread, but a large batched ``conv2d`` shares
+its per-image work with a helper thread (``_Share``), with the same results
+bit for bit.  Independent graphs share no mutable state (the cached conv2d
+tables are read-only, and the helper serves one call at a time while the
+others run on their own threads) and may run in parallel threads.
 
 Dropout takes an explicit seed (an int or a tuple of ints), so a forward
 pass is reproducible bit-for-bit from the seed alone.
@@ -34,6 +37,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
+import queue
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -459,6 +464,161 @@ def l2_normalize(a: Tensor) -> Tensor:
 # spatial ops
 # ---------------------------------------------------------------------------
 
+# A batched conv2d whose patch matrices and kernel-gradient partials fill at least
+# _SPLIT_MIN_CHUNKS chunks of about _CHUNK_BYTES shares them out chunk by chunk.
+_CHUNK_BYTES = 1 << 20
+_SPLIT_MIN_CHUNKS = 4
+_PARTIAL_WINDOW = 4   # chunks of kernel-gradient partials a split batch keeps alive
+
+
+@functools.cache
+def _blas_thread_count() -> Callable[[], int] | None:
+    """OpenBLAS's thread-count function, from the libraries this process has loaded,
+    or None where there is none or no /proc/self/maps to find it in."""
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get
+    return None
+
+
+def _split_engaged() -> bool:
+    """Whether a large batched ``conv2d`` shares its per-image work with the helper
+    thread: only where this process may run on two CPUs or more and BLAS runs one
+    thread.  A threaded BLAS already spreads the larger per-image GEMMs over the
+    cores, and a BLAS whose thread count cannot be read is taken to."""
+    count = _blas_thread_count()
+    return count is not None and count() == 1 and len(os.sched_getaffinity(0)) > 1
+
+
+class _Share:
+    """Items n-1, ..., 0 of one call, each run once by whichever thread claims it
+    first: the calling thread, or the helper thread if it joins in time.
+
+    ``item(j, t)`` does item j with thread t's scratch (0 the caller's, 1 the
+    helper's).  With ``fold``, the caller calls ``fold(j)`` for j = n-1, ..., 0
+    in turn, each once ``item(j)`` has ended, and no item is claimed ``window`` or
+    more ahead of the fold, so ``window`` result slots (item j's is j % window)
+    suffice.  The caller waits only on an item the helper has started: a helper
+    that never starts costs nothing, and a stalled one at most the item it holds.
+    """
+
+    def __init__(self, n: int, item: Callable[[int, int], None],
+                 fold: Callable[[int], None] | None = None, window: int = 0):
+        self._item, self._fold = item, fold
+        self._window = window if fold else n
+        self._next = n - 1                       # the next item to claim
+        self._unfolded = n - 1 if fold else -1   # the next item to fold
+        self._done = [False] * n
+        self._helping = 0                        # items the helper is running
+        self._error: BaseException | None = None
+        self._cond = threading.Condition(threading.Lock())
+
+    def _claimable(self) -> bool:
+        return self._next >= 0 and self._next + self._window > self._unfolded
+
+    def _foldable(self) -> bool:
+        return self._unfolded >= 0 and self._done[self._unfolded]
+
+    def _caller_may_go(self) -> bool:
+        return (self._error is not None or self._foldable() or self._claimable()
+                or self._next < 0 and self._helping == 0 and self._unfolded < 0)
+
+    def help(self) -> None:
+        """The helper's side: run items until none is left to claim."""
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: self._next < 0 or self._claimable())
+                if self._next < 0:
+                    return
+                j, self._next = self._next, self._next - 1
+                self._helping += 1
+                item = self._item
+            error = None
+            try:
+                item(j, 1)
+            except BaseException as exc:   # raised again on the calling thread
+                error = exc
+            with self._cond:
+                self._helping -= 1
+                self._done[j] = error is None
+                if error is not None:
+                    self._error, self._next = error, -1
+                self._cond.notify_all()
+
+    def run(self) -> None:
+        """The caller's side: hand this share to the helper, then claim, run and
+        fold items until all are done."""
+        _helper.submit(self)
+        try:
+            while True:
+                with self._cond:
+                    self._cond.wait_for(self._caller_may_go)
+                    if self._error is not None:
+                        raise self._error
+                    claimed = not self._foldable() and self._claimable()
+                    if claimed:
+                        j, self._next = self._next, self._next - 1
+                    elif self._unfolded >= 0:
+                        j = self._unfolded
+                    else:
+                        return
+                if claimed:
+                    self._item(j, 0)
+                else:
+                    self._fold(j)
+                with self._cond:
+                    if claimed:
+                        self._done[j] = True
+                    else:
+                        self._unfolded -= 1
+                        self._cond.notify_all()
+        finally:
+            with self._cond:   # stop the helper, and leave a late one no arrays
+                self._next = -1
+                self._item = self._fold = None
+                self._cond.notify_all()
+
+
+class _Helper:
+    """One daemon thread that joins shares, one at a time.  It starts on first use,
+    and again in a forked child, which inherits no threads."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pid: int | None = None
+        self._jobs: queue.SimpleQueue | None = None
+
+    def submit(self, share: _Share) -> None:
+        with self._lock:
+            if self._pid != os.getpid():
+                self._pid, self._jobs = os.getpid(), queue.SimpleQueue()
+                threading.Thread(target=self._serve, args=(self._jobs,),
+                                 name="semvis-conv2d", daemon=True).start()
+            self._jobs.put(share)
+
+    @staticmethod
+    def _serve(jobs: queue.SimpleQueue) -> None:
+        while True:
+            jobs.get().help()
+
+
+_helper = _Helper()
+
+
 @functools.lru_cache(maxsize=32)
 def _patch_index(cin: int, h: int, w: int, kh: int, kw: int, stride: int,
                  pad: int) -> np.ndarray:
@@ -474,6 +634,91 @@ def _patch_index(cin: int, h: int, w: int, kh: int, kw: int, stride: int,
     return index
 
 
+def _gather(images: np.ndarray, index: np.ndarray, flat: np.ndarray, cols: np.ndarray,
+            lo: int, hi: int) -> np.ndarray:
+    """The patch matrices of images lo..hi-1 of a (Cin, N, H, W) batch, as ``cols[:hi-lo]``:
+    each image is copied into a row of ``flat`` that ends in the zero padding reads."""
+    cin, _, h, w = images.shape
+    flat[:hi - lo, :-1].reshape(hi - lo, cin, h, w)[...] = images[:, lo:hi].swapaxes(0, 1)
+    return np.take(flat[:hi - lo], index, axis=1, out=cols[:hi - lo], mode="clip")
+
+
+def _split_scratch(images: np.ndarray, index: np.ndarray,
+                   chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per thread, ``_gather``'s ``flat`` and ``cols`` for a chunk of images; each pass
+    allocates its own on the calling thread, so none outlives it."""
+    cin, _, h, w = images.shape
+    return np.zeros((2, chunk, cin * h * w + 1)), np.empty((2, chunk, *index.shape))
+
+
+def _split_forward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk: int,
+                   out: np.ndarray) -> None:
+    """``conv2d``'s GEMMs into ``out`` (Cout, N, positions), chunk by chunk on two threads:
+    one ``take`` per chunk, and one matmul call whose GEMMs are the per-image ones."""
+    n = images.shape[1]
+    spans = [(lo, min(n, lo + chunk)) for lo in range(0, n, chunk)]
+    flat, cols = _split_scratch(images, index, chunk)
+
+    def item(j: int, t: int) -> None:
+        lo, hi = spans[j]
+        np.matmul(k2, _gather(images, index, flat[t], cols[t], lo, hi),
+                  out=out[:, lo:hi].swapaxes(0, 1))
+
+    _Share(len(spans), item).run()
+
+
+def _split_backward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk: int,
+                    g: np.ndarray, relu_out: np.ndarray | None, bias_grad: bool,
+                    kernel_grad: bool, input_grad: bool):
+    """``conv2d``'s bias (Cout,), kernel (Cout, K) and input (Cin, N, H*W) gradients, each
+    None where not wanted, chunk by chunk on two threads.  With ``relu_out``, the
+    output gradient ``g`` is masked where that output is not positive, a chunk at a
+    time.  The per-image bias and kernel partials are summed on the calling thread
+    last image first, as ``sum_examples`` sums them."""
+    cin, n, h, w = images.shape
+    cout, positions = g.shape[0], g.shape[2]
+    spans = [(lo, min(n, lo + chunk)) for lo in range(0, n, chunk)]
+    window = min(len(spans), _PARTIAL_WINDOW)
+    flat, cols = _split_scratch(images, index, chunk)
+    masked = np.empty((2, chunk, cout, positions)) if relu_out is not None else None
+    mask = np.empty(masked.shape, dtype=bool) if relu_out is not None else None
+    parts = [np.empty((window, chunk, *shape)) if wanted else None
+             for wanted, shape in ((bias_grad, (cout,)), (kernel_grad, k2.shape))]
+    totals = [None, None]
+    gx = np.empty((cin, n, h * w)) if input_grad else None
+
+    def item(j: int, t: int) -> None:
+        lo, hi = spans[j]
+        gj = g[:, lo:hi].swapaxes(0, 1)
+        if relu_out is not None:
+            np.greater(relu_out[:, lo:hi].swapaxes(0, 1), 0.0, out=mask[t, :hi - lo])
+            gj = np.multiply(gj, mask[t, :hi - lo], out=masked[t, :hi - lo])
+        if bias_grad:
+            gj.sum(axis=2, out=parts[0][j % window, :hi - lo])
+        if kernel_grad:
+            np.matmul(gj, _gather(images, index, flat[t], cols[t], lo, hi).swapaxes(1, 2),
+                      out=parts[1][j % window, :hi - lo])
+        if input_grad:
+            gcols = np.matmul(k2.T, gj, out=cols[t, :hi - lo])
+            for k in range(lo, hi):
+                gx[:, k] = np.bincount(index.ravel(), gcols[k - lo].ravel(),
+                                       flat.shape[2])[:-1].reshape(cin, h * w)
+
+    def fold(j: int) -> None:
+        lo, hi = spans[j]
+        for k in range(hi - 1, lo - 1, -1):
+            for i, part in enumerate(parts):
+                if part is None:
+                    continue
+                if totals[i] is None:
+                    totals[i] = part[j % window, k - lo].copy()
+                else:
+                    totals[i] += part[j % window, k - lo]
+
+    _Share(len(spans), item, fold if bias_grad or kernel_grad else None, window).run()
+    return totals[0], totals[1], gx
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
            bias: Tensor | None = None, relu: bool = False) -> Tensor:
     """Strided 2-d cross-correlation (no kernel flip), with an optional per-channel
@@ -487,9 +732,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     differently, and a one-image patch matrix stays small.  The kernel gradient
     gathers the patches again instead of keeping them alive; the input gradient
     scatters back with one ``bincount`` over the table, which adds each cell's
-    contributions in kernel-offset order, from 0.0.  Output spatial size is
-    floor((H + 2*pad - kh)/stride) + 1 (same for W); a zero-size output raises
-    ShapeError.
+    contributions in kernel-offset order, from 0.0.  A large batch shares this
+    work with a helper thread where ``_split_engaged()`` (see ``_Share``): chunk
+    by chunk, with each image's arithmetic unchanged and the kernel-gradient
+    partials still summed last image first, so either way gives the same bits.
+    Output spatial size is floor((H + 2*pad - kh)/stride) + 1 (same for W); a
+    zero-size output raises ShapeError.
     """
     if x.data.ndim not in (3, 4) or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d: need (Cin,[N,]H,W) and (Cout,Cin,kh,kw), got {x.shape} "
@@ -512,6 +760,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     images = x.data.reshape(cin, n, h, w)
     k2 = kernel.data.reshape(cout, -1)
     index = _patch_index(cin, h, w, kh, kw, stride, pad)
+    chunk = max(1, _CHUNK_BYTES // (8 * index.shape[0] * (index.shape[1] + cout)))
+    split = n >= _SPLIT_MIN_CHUNKS * chunk and _split_engaged()
     flat = np.zeros(cin * h * w + 1)   # one image, then the zero that padding reads
 
     def patches(k: int) -> np.ndarray:
@@ -519,8 +769,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
         return flat.take(index)
 
     out = np.empty((cout, n, h_out * w_out))
-    for k in range(n):
-        np.matmul(k2, patches(k), out=out[:, k])
+    if split:
+        _split_forward(images, k2, index, chunk, out)
+    else:
+        for k in range(n):
+            np.matmul(k2, patches(k), out=out[:, k])
     if bias is not None:
         out += bias.data[:, None, None]
     if relu:
@@ -528,6 +781,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
 
     def backward(g):
         g = g.reshape(out.shape)
+        if split:
+            grads = _split_backward(images, k2, index, chunk, g, out if relu else None,
+                                    bias is not None, kernel.requires_grad, x.requires_grad)
+            for t, grad in zip((bias, kernel, x), grads):
+                if grad is not None:
+                    _accum(t, grad.reshape(t.data.shape))
+            return
         if relu:
             g = g * (out > 0.0)
         if bias is not None:

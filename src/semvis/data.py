@@ -224,8 +224,11 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
 def read_dataset(in_dir) -> Dataset:
     scenes = []
     seen_ids = set()
-    manifest = os.path.join(in_dir, "manifest.jsonl")
-    with open(manifest, "rb") as fh:
+    try:
+        fh = open(os.path.join(in_dir, "manifest.jsonl"), "rb")
+    except OSError as exc:
+        raise ManifestError(0, str(exc)) from None
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

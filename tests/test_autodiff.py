@@ -136,6 +136,224 @@ class TestConv2d:
         assert err < 1e-5
 
 
+DEFAULT_CONVS = [   # (cin, cout, side, kernel side, stride, pad) of the default image encoder
+    (3, 16, 64, 3, 2, 1), (16, 32, 32, 3, 2, 1), (32, 64, 16, 3, 2, 1), (64, 64, 8, 3, 2, 1),
+    (64, 64, 4, 1, 1, 0)]
+
+
+class _IdleHelper:
+    """A helper thread that never runs: it keeps every share handed to it."""
+
+    def __init__(self):
+        self.shares = []
+
+    def submit(self, share):
+        self.shares.append(share)
+
+
+def _count_shares(monkeypatch):
+    """Force the split on and count the shares that ``conv2d`` runs."""
+    runs = []
+    real = ad._Share.run
+    monkeypatch.setattr(ad, "_split_engaged", lambda: True)
+    monkeypatch.setattr(ad._Share, "run", lambda share: (runs.append(share), real(share))[1])
+    return runs
+
+
+def _conv_results(x, kernel, bias, stride, pad, relu, g):
+    xs, ks, bs = (Tensor(a, requires_grad=True) for a in (x, kernel, bias))
+    out = ad.conv2d(xs, ks, stride, pad, bias=bs, relu=relu)
+    out._backward(g)
+    return out.data, xs.grad, ks.grad, bs.grad
+
+
+class TestConvSplit:
+    """A batch's per-image work shared with the helper thread gives the serial bits."""
+
+    @staticmethod
+    def _inputs(cin, cout, side, k, stride, pad, n=32, seed=0):
+        rng = np.random.default_rng(seed)
+        side_out = (side + 2 * pad - k) // stride + 1
+        return (rng.normal(size=(cin, n, side, side)), rng.normal(size=(cout, cin, k, k)),
+                rng.normal(size=cout), rng.normal(size=(cout, n, side_out, side_out)))
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    @pytest.mark.parametrize("geometry", DEFAULT_CONVS, ids=lambda g: "{}to{}@{}".format(*g))
+    def test_forced_on_equals_forced_off(self, monkeypatch, geometry, chunk_bytes):
+        cin, cout, side, k, stride, pad = geometry
+        x, kernel, bias, g = self._inputs(*geometry)
+        monkeypatch.setattr(ad, "_split_engaged", lambda: False)
+        serial = _conv_results(x, kernel, bias, stride, pad, k == 3, g)
+        if chunk_bytes is not None:   # one image per chunk: even the 1x1 layer splits
+            monkeypatch.setattr(ad, "_CHUNK_BYTES", chunk_bytes)
+        runs = _count_shares(monkeypatch)
+        split = _conv_results(x, kernel, bias, stride, pad, k == 3, g)
+        # the 1x1 layer is too small to split at the default chunk size
+        assert len(runs) == (0 if chunk_bytes is None and k == 1 else 2)
+        for got, want in zip(split, serial):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("stride,pad,kernel_hw,shape", [
+        (1, 1, (3, 2), (2, 9, 5, 7)),
+        (3, 2, (3, 3), (1, 9, 8, 7)),
+        (2, 2, (1, 1), (3, 11, 5, 4)),
+    ])
+    def test_uneven_chunks_equal_the_per_offset_reference(self, monkeypatch, stride, pad,
+                                                          kernel_hw, shape):
+        """Chunks of 2 images over an odd batch (enough for a split): the last holds one."""
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * 8 * (shape[0] * kernel_hw[0] * kernel_hw[1])
+                            * (((shape[2] + 2 * pad - kernel_hw[0]) // stride + 1)
+                               * ((shape[3] + 2 * pad - kernel_hw[1]) // stride + 1) + 4))
+        runs = _count_shares(monkeypatch)
+        rng = np.random.default_rng(sum(shape))
+        TestConv2d._assert_matches_per_offset_reference(
+            rng.normal(size=shape), rng.normal(size=(4, shape[0], *kernel_hw)), stride, pad, 3)
+        assert runs and all(len(share._done) == -(-shape[1] // 2) for share in runs)
+
+    def test_a_batch_of_one_never_splits(self, monkeypatch):
+        runs = _count_shares(monkeypatch)
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 1)
+        x, kernel, bias, g = self._inputs(16, 32, 32, 3, 2, 1, n=1)
+        _conv_results(x[:, 0], kernel, bias, 2, 1, True, g[:, 0])
+        _conv_results(x, kernel, bias, 2, 1, True, g)
+        assert runs == []
+
+    def test_a_helper_that_never_runs_changes_nothing(self, monkeypatch):
+        geometry = DEFAULT_CONVS[1]
+        x, kernel, bias, g = self._inputs(*geometry)
+        monkeypatch.setattr(ad, "_split_engaged", lambda: False)
+        serial = _conv_results(x, kernel, bias, 2, 1, True, g)
+        idle = _IdleHelper()
+        monkeypatch.setattr(ad, "_helper", idle)
+        runs = _count_shares(monkeypatch)
+        split = _conv_results(x, kernel, bias, 2, 1, True, g)
+        assert len(runs) == 2 and idle.shares == runs
+        for got, want in zip(split, serial):
+            np.testing.assert_array_equal(got, want)
+        for share in idle.shares:   # a late helper finds nothing to claim and no arrays
+            assert share._item is None and share._fold is None
+            share.help()
+
+    def test_an_error_on_the_helper_is_raised_by_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ad, "_helper", _IdleHelper())
+        ran = []
+
+        def run(j, t):
+            if t == 1:
+                raise MemoryError("on the helper")
+            ran.append(j)
+
+        share = ad._Share(4, run)
+        share.help()   # the helper claims item 3 and fails
+        with pytest.raises(MemoryError, match="on the helper"):
+            share.run()
+        assert ran == []
+
+    def test_shares_under_contention_run_each_item_once_and_fold_in_order(self):
+        """Four user threads on two cores, a 10 us switch interval: every item runs once,
+        folds run n-1, ..., 0 on the calling thread, and the window holds."""
+        import sys
+        import threading
+
+        problems = []
+
+        def user(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(40):
+                n, window = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+                runs, folds, caller = [0] * n, [], threading.get_ident()
+
+                def run(j, t):
+                    runs[j] += 1
+                    if j + window < (folds[-1] if folds else n):   # unfolded: one less
+                        problems.append(f"item {j} claimed past the window")
+
+                def fold(j):
+                    if threading.get_ident() != caller:
+                        problems.append("fold off the calling thread")
+                    folds.append(j)
+
+                ad._Share(n, run, fold, window).run()
+                if runs != [1] * n or folds != list(range(n - 1, -1, -1)):
+                    problems.append(f"runs {runs}, folds {folds}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            users = [threading.Thread(target=user, args=(seed,)) for seed in range(4)]
+            for t in users:
+                t.start()
+            for t in users:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in users)
+        finally:
+            sys.setswitchinterval(interval)
+        assert problems == []
+
+    def test_two_user_threads_match_serial_results(self, monkeypatch):
+        """Independent graphs on two user threads at once, both splitting."""
+        import threading
+
+        inputs = [self._inputs(*DEFAULT_CONVS[i], seed=i) for i in (1, 2)]
+        monkeypatch.setattr(ad, "_split_engaged", lambda: False)
+        serial = [_conv_results(x, k, b, 2, 1, True, g) for x, k, b, g in inputs]
+        monkeypatch.setattr(ad, "_split_engaged", lambda: True)
+        results = [[], []]
+
+        def user(i):
+            x, k, b, g = inputs[i]
+            for _ in range(5):
+                results[i].append(_conv_results(x, k, b, 2, 1, True, g))
+
+        users = [threading.Thread(target=user, args=(i,)) for i in (0, 1)]
+        for t in users:
+            t.start()
+        for t in users:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in users)
+        for want, got in zip(serial, results):
+            assert len(got) == 5
+            for repeat in got:
+                for a, b in zip(repeat, want):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_a_forked_child_splits_without_the_parents_thread(self, monkeypatch):
+        import os
+        import time
+
+        x, kernel, bias, g = self._inputs(*DEFAULT_CONVS[1])
+        monkeypatch.setattr(ad, "_split_engaged", lambda: False)
+        serial = _conv_results(x, kernel, bias, 2, 1, True, g)
+        runs = _count_shares(monkeypatch)
+        _conv_results(x, kernel, bias, 2, 1, True, g)   # the parent's helper is running
+        assert runs
+        pid = os.fork()
+        if pid == 0:
+            try:
+                got = _conv_results(x, kernel, bias, 2, 1, True, g)
+                same = all(np.array_equal(a, b) for a, b in zip(got, serial))
+                os._exit(0 if same else 3)
+            finally:
+                os._exit(4)
+        deadline = time.monotonic() + 120
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if status[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_engaged_only_on_two_cpus_with_one_blas_thread(self, monkeypatch):
+        import os
+
+        for cpus, blas, want in [({0, 1}, 1, True), ({0}, 1, False), ({0, 1}, 2, False),
+                                 ({0, 1}, None, False)]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            monkeypatch.setattr(ad, "_blas_thread_count",
+                                lambda blas=blas: None if blas is None else (lambda: blas))
+            assert ad._split_engaged() is want
+
+
 class TestSpatialMaxMin:
     def test_hand_value(self):
         x = Tensor([[[1.0, -2.0], [3.0, 0.0]]])

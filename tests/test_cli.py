@@ -231,6 +231,12 @@ class TestTrain:
         assert code == 1
         assert "error" in err
 
+    def test_data_dir_without_manifest_exit_1(self, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--data", str(tmp_path),
+                           "--out", str(tmp_path / "x.ckpt"))
+        assert code == 1
+        assert "manifest.jsonl" in err and "Traceback" not in err
+
 
 class TestEvalCommands:
     def test_retrieval_report_schema_and_determinism(self, capsys, workspace):

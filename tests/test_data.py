@@ -243,6 +243,16 @@ class TestHostileManifest:
             read_dataset(tmp_path)
         assert info.value.line_no == 0 and "manifest line" not in str(info.value)
 
+    @pytest.mark.parametrize("make", [lambda root: None, lambda root: root.mkdir(),
+                                      lambda root: (root / "manifest.jsonl").mkdir(parents=True)],
+                             ids=["no-directory", "no-manifest", "manifest-is-a-directory"])
+    def test_unreadable_manifest_is_a_manifest_error(self, tmp_path, make):
+        root = tmp_path / "data"
+        make(root)
+        with pytest.raises(ManifestError, match=r"manifest\.jsonl") as info:
+            read_dataset(root)
+        assert info.value.line_no == 0 and "manifest line" not in str(info.value)
+
 
 def _check_image(image):
     assert isinstance(image, np.ndarray) and image.dtype == np.uint8

@@ -229,19 +229,28 @@ class TestTrainEpoch:
 
     def test_training_matches_the_per_offset_conv_reference(self, tmp_path, monkeypatch):
         """Two epochs, the second through the convolutions' backward, with the
-        library's conv2d and with the per-offset reference: the same checkpoint bytes."""
-        blobs = []
-        for conv in (autodiff.conv2d, np_pad_conv2d):
-            monkeypatch.setattr(autodiff, "conv2d", conv)
-            dataset = generate_dataset(8, seed=3)
-            model = Model.initialize(ModelConfig(), dataset.vocab, seed=1)
-            sched = TrainSchedule(epochs=2, batch_size=8, freeze_epochs=1)
-            state = AdamState()
-            train(model, dataset, sched, seed=1, state=state)
-            path = tmp_path / f"{len(blobs)}.ckpt"
-            save_checkpoint(path, model, state, sched, seed=1, next_epoch=2)
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1]
+        library's conv2d and with the per-offset reference: the same checkpoint bytes.
+        The split is forced off at batch 8 and on at batch 32, whatever BLAS and the
+        CPUs allow, so there the library's 32-image batches share their work with the
+        helper thread."""
+        library_conv, share_run, shares = autodiff.conv2d, autodiff._Share.run, []
+        monkeypatch.setattr(autodiff._Share, "run",
+                            lambda share: (shares.append(share), share_run(share))[1])
+        for batch_size, split in [(8, False), (32, True)]:
+            monkeypatch.setattr(autodiff, "_split_engaged", lambda split=split: split)
+            blobs = []
+            for conv in (library_conv, np_pad_conv2d):
+                monkeypatch.setattr(autodiff, "conv2d", conv)
+                dataset = generate_dataset(8, seed=3)
+                model = Model.initialize(ModelConfig(), dataset.vocab, seed=1)
+                sched = TrainSchedule(epochs=2, batch_size=batch_size, freeze_epochs=1)
+                state = AdamState()
+                train(model, dataset, sched, seed=1, state=state)
+                path = tmp_path / f"{batch_size}-{len(blobs)}.ckpt"
+                save_checkpoint(path, model, state, sched, seed=1, next_epoch=2)
+                blobs.append(path.read_bytes())
+            assert blobs[0] == blobs[1], f"batch {batch_size}"
+            assert bool(shares) is split
 
     def test_loss_decreases_over_a_short_run(self):
         model, dataset = tiny_setup(n_scenes=48)
