@@ -9,6 +9,12 @@ cell, has a side of ``MIN_SIZE``..``MAX_SIZE`` (22..28) pixels and keeps
 objects never overlap.  No two objects in a scene share the same (shape,
 color) pair, so every region phrase points at exactly one object.
 
+A scene is a pure function of its seed: the order of its random draws
+defines the dataset, so a faster generator must keep every draw in place.
+Each object is stamped in one masked copy of its color through a shape mask
+that is built once per (shape, size) pair, 4 x 7 = 28 in all, and shared
+read-only by every scene.
+
 On disk a dataset is a directory::
 
     manifest.jsonl      one JSON object per scene
@@ -18,6 +24,7 @@ On disk a dataset is a directory::
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -49,12 +56,20 @@ MIN_SIZE = 22                     # large relative to the cell: objects must sur
 MAX_SIZE = 28                     # a 16x downsample with their identity intact
 CELL_MARGIN = 2                   # MAX_SIZE + 2 * CELL_MARGIN <= CELL_PX
 CAPTIONS_PER_SCENE = 5
+_COMBOS = [(s, c) for s in SHAPES for c in COLORS]   # the 24 pairs a scene draws from
+_FILL = {name: np.array(rgb, dtype=np.uint8)[:, None, None] for name, rgb in COLORS.items()}
 
 
 @dataclass
 class SceneConfig:
     min_objects: int = 2
     max_objects: int = 3
+
+    def __post_init__(self):
+        if not 1 <= self.min_objects <= self.max_objects <= CELLS:
+            raise GenerationError(
+                f"cannot place {self.min_objects}..{self.max_objects} objects on a {GRID}x{GRID}"
+                f" grid: need 1 <= min_objects <= max_objects <= {CELLS}")
 
 
 @dataclass(eq=False)
@@ -103,6 +118,7 @@ class Dataset:
                 yield scene.image, phrase, bbox
 
 
+@functools.cache
 def _shape_mask(shape: str, size: int) -> np.ndarray:
     # Every shape carries its own fill texture; the orientation/frequency
     # signatures keep the four classes separable even after aggressive
@@ -110,45 +126,41 @@ def _shape_mask(shape: str, size: int) -> np.ndarray:
     yy, xx = np.mgrid[0:size, 0:size]
     if shape == "circle":
         c = (size - 1) / 2.0
-        return (xx - c) ** 2 + (yy - c) ** 2 <= (size / 2.0) ** 2
-    if shape == "square":
-        return (yy % 4) < 2  # horizontal stripes
-    if shape == "triangle":
+        mask = (xx - c) ** 2 + (yy - c) ** 2 <= (size / 2.0) ** 2
+    elif shape == "square":
+        mask = (yy % 4) < 2  # horizontal stripes
+    elif shape == "triangle":
         half = (size - 1) / 2.0
         solid = np.abs(xx - half) <= half * (yy + 1) / size  # apex up, base down
-        return solid & ((xx % 4) < 2)  # vertical stripes
-    if shape == "cross":
+        mask = solid & ((xx % 4) < 2)  # vertical stripes
+    elif shape == "cross":
         t = max(2, size // 4)
         lo, hi = (size - t) // 2, (size - t) // 2 + t
-        return ((yy >= lo) & (yy < hi)) | ((xx >= lo) & (xx < hi))
-    raise ValueError(f"unknown shape {shape!r}")
+        mask = ((yy >= lo) & (yy < hi)) | ((xx >= lo) & (xx < hi))
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    mask.flags.writeable = False
+    return mask
 
 
 def render_scene(objects: list[SceneObject]) -> np.ndarray:
     image = np.zeros((3, CANVAS, CANVAS), dtype=np.uint8)
     for obj in objects:
         x, y, w, h = obj.bbox
-        mask = _shape_mask(obj.shape, w)
-        rgb = COLORS[obj.color]
-        for ch in range(3):
-            image[ch, y:y + h, x:x + w][mask] = rgb[ch]
+        np.copyto(image[:, y:y + h, x:x + w], _FILL[obj.color], where=_shape_mask(obj.shape, w))
     return image
 
 
 def generate_scene(seed, cfg: SceneConfig = SceneConfig(), scene_id: int = -1) -> Scene:
     """Deterministically build one scene from ``seed`` (an int or tuple of ints)."""
     rng = np.random.default_rng(seed)
-    if cfg.max_objects > CELLS:
-        raise GenerationError(f"cannot place {cfg.max_objects} objects on a {GRID}x{GRID} grid")
-
     n = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
-    combos = [(s, c) for s in SHAPES for c in COLORS]
-    picks = rng.choice(len(combos), size=n, replace=False)
+    picks = rng.choice(len(_COMBOS), size=n, replace=False)
     cell_ids = rng.choice(CELLS, size=n, replace=False)
 
     objects = []
     for combo_idx, cell_idx in zip(picks, cell_ids):
-        shape, color = combos[int(combo_idx)]
+        shape, color = _COMBOS[int(combo_idx)]
         size = int(rng.integers(MIN_SIZE, MAX_SIZE + 1))
         cx = (int(cell_idx) % GRID) * CELL_PX
         cy = (int(cell_idx) // GRID) * CELL_PX
@@ -172,8 +184,7 @@ def caption_objects(objects: list[SceneObject], rng: np.random.Generator) -> lis
     """
     singles = [obj.phrase for obj in objects]
     attrs = [f"the {obj.shape} is {obj.color}" for obj in objects]
-    pairs = [f"{a.phrase} and {b.phrase}"
-             for i, a in enumerate(objects) for j, b in enumerate(objects) if i != j]
+    pairs = [f"{a} and {b}" for i, a in enumerate(singles) for j, b in enumerate(singles) if i != j]
 
     chosen = []
     if pairs:
@@ -190,11 +201,9 @@ def caption_objects(objects: list[SceneObject], rng: np.random.Generator) -> lis
 
 def build_vocab(scenes: list[Scene]) -> Vocab:
     """Sorted vocabulary of every token appearing in captions and region phrases."""
-    tokens: set[str] = set()
-    for scene in scenes:
-        for text in scene.captions + [p for p, _ in scene.regions]:
-            tokens.update(split_words(text))
-    return Vocab(sorted(tokens))
+    texts = {text for scene in scenes for text in scene.captions}
+    texts.update(phrase for scene in scenes for phrase, _ in scene.regions)
+    return Vocab(sorted(set().union(*map(split_words, texts))))
 
 
 def generate_dataset(n_scenes: int, seed: int, cfg: SceneConfig = SceneConfig()) -> Dataset:

@@ -105,10 +105,11 @@ def bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    top = arr[np.ix_(y0, x0)] * (1 - wx) + arr[np.ix_(y0, x1)] * wx
-    bottom = arr[np.ix_(y1, x0)] * (1 - wx) + arr[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bottom * wy
+    wx = np.clip(xs - x0, 0.0, 1.0)
+    # Separable: each source row is interpolated along x once, then rows are
+    # blended along y; every pixel gets the same products and sums as a 2-D gather.
+    rows = arr[:, x0] * (1 - wx) + arr[:, x1] * wx
+    return rows[y0] * (1 - wy) + rows[y1] * wy
 
 
 def render_heatmap(hm: Heatmap, image: np.ndarray, prefix: str) -> tuple[str, str]:

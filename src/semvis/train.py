@@ -268,11 +268,12 @@ def _write_section(fh, entries: dict) -> None:
 class _Reader:
     def __init__(self, blob: bytes, path):
         self.blob = blob
+        self.end = len(blob)   # reads stop here; the CRC trailer is not the reader's
         self.pos = 0
         self.path = path
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+        if self.pos + n > self.end:
             raise CheckpointError(f"{self.path}: truncated file")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
@@ -319,8 +320,8 @@ def _decode(blob: bytes, path) -> tuple[object, dict, dict]:
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    reader.blob = blob[:-4]
-    if len(blob) < 12 or zlib.crc32(reader.blob) != struct.unpack("<I", blob[-4:])[0]:
+    reader.end = len(blob) - 4
+    if len(blob) < 12 or zlib.crc32(memoryview(blob)[:-4]) != struct.unpack("<I", blob[-4:])[0]:
         raise CheckpointError(f"{path}: checksum mismatch (corrupted or truncated file)")
     raw = reader.take(reader.u32())
     try:
@@ -328,8 +329,8 @@ def _decode(blob: bytes, path) -> tuple[object, dict, dict]:
     except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: the header is not UTF-8 JSON: {exc}") from None
     params, moments = reader.section(), reader.section()
-    if reader.pos != len(reader.blob):
-        raise CheckpointError(f"{path}: {len(reader.blob) - reader.pos} trailing bytes")
+    if reader.pos != reader.end:
+        raise CheckpointError(f"{path}: {reader.end - reader.pos} trailing bytes")
     return header, params, moments
 
 
@@ -340,17 +341,25 @@ def save_checkpoint(path, model: Model, state: AdamState, sched: TrainSchedule,
     moments = {f"adam.{kind}.{name}": a for kind in "mv" for name, a in getattr(state, kind).items()}
     blob = _encode(header, {name: p.data for name, p in model.params.items()}, moments)
 
-    # Written beside the target, then renamed over it: a write that fails partway
-    # leaves the previous checkpoint as it was.
+    # Written beside the target and synced, then renamed over it, and the rename synced:
+    # a write that fails partway, or a crash at any point, leaves either the previous
+    # checkpoint or the new one, whole.
     tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
             fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    folder = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(folder)
+    finally:
+        os.close(folder)
 
 
 def load_checkpoint(path) -> CheckpointBundle:
@@ -376,7 +385,7 @@ def load_checkpoint(path) -> CheckpointBundle:
             raise CheckpointError(f"{path}: malformed checkpoint entry {key} (shape {arr.shape},"
                                   f" expected {shapes.get(key)})")
         _, kind, name = key.split(".", 2)
-        getattr(state, kind)[name] = arr.copy()
+        getattr(state, kind)[name] = arr   # a fresh array: the reader's astype copied it
     if not state.m.keys() == state.v.keys() == state.t.keys():   # adam_step needs all three
         raise CheckpointError(f"{path}: adam.m, adam.v and adam_steps name different tensors")
     return CheckpointBundle(model, state, sched, seed, next_epoch)

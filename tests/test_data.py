@@ -1,5 +1,6 @@
 """Scene generator and dataset round-trip tests."""
 
+import hashlib
 import json
 import os
 
@@ -15,6 +16,11 @@ from semvis.data import (COLORS, SHAPES, Dataset, Scene, SceneConfig, build_voca
 from semvis.errors import GenerationError, ManifestError
 from semvis.ppm import read_ppm, write_ppm
 
+# sha256 over generate_dataset(200, seed=4) and two scenes of 1 and 4 objects
+# (see _scenes_digest); a changed draw, mask or caption moves them.
+GOLDEN_DATASET = "8cfb2d63f3e39e70836693d488e9cfa1ae00767649fa289ed7b5127550a79eee"
+GOLDEN_SCENES = {1: "caed81eb535a2f02af1a0990fd52e10d5f3f854fd0fac9c86963910e7211a12a",
+                 4: "cd782c17923f8840523f86902e38ca9fb7e476288b67558fa633743204b095da"}
 TYPED_ERRORS = tuple(v for v in vars(errors).values()
                      if isinstance(v, type) and v.__module__ == errors.__name__)
 
@@ -67,6 +73,11 @@ class TestGenerateScene:
         with pytest.raises(GenerationError):
             generate_scene(0, SceneConfig(min_objects=5, max_objects=5))   # 4 grid cells
 
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 2), (-1, 1), (1, 5)])
+    def test_config_outside_one_to_cells_is_rejected(self, lo, hi):
+        with pytest.raises(GenerationError, match=f"{lo}..{hi} objects"):
+            SceneConfig(min_objects=lo, max_objects=hi)
+
     def test_marginals_uniform_over_shapes_and_colors(self):
         # 10^4 scenes; each drawn (shape, color) pair is uniform over the 24
         # combinations, so every shape and color count stays within 3 sigma.
@@ -83,6 +94,33 @@ class TestGenerateScene:
             sigma = np.sqrt(total * p * (1 - p))
             for value in counts.values():
                 assert abs(value - total * p) < 3 * sigma
+
+
+def _scenes_digest(scenes, vocab=None) -> str:
+    h = hashlib.sha256()
+    for scene in scenes:
+        h.update(scene.image.tobytes())
+        h.update(json.dumps([scene.scene_id, scene.captions,
+                             [[p, list(b)] for p, b in scene.regions],
+                             [[o.shape, o.color, list(o.bbox)] for o in scene.objects]]).encode())
+    if vocab is not None:
+        h.update("\n".join(vocab.tokens).encode())
+    return h.hexdigest()
+
+
+class TestSceneStream:
+    """The random draws of ``generate_scene`` define every dataset: these digests
+    pin the images, captions, regions, objects and vocabulary they produce."""
+
+    def test_dataset_digest(self):
+        dataset = generate_dataset(200, seed=4)
+        assert _scenes_digest(dataset.scenes, dataset.vocab) == GOLDEN_DATASET
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN_SCENES))
+    def test_scene_digest_with_n_objects(self, n):
+        scene = generate_scene((6, n), SceneConfig(min_objects=n, max_objects=n), scene_id=n)
+        assert len(scene.objects) == n
+        assert _scenes_digest([scene]) == GOLDEN_SCENES[n]
 
 
 class TestCaptions:

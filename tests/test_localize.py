@@ -133,6 +133,22 @@ class TestPoint:
         assert 0.0 <= px < w * s and 0.0 <= py < h * s
 
 
+def _gather_resize(arr, out_h, out_w):
+    """Oracle: bilinear resampling by four 2-D gathers of the corner values."""
+    h, w = arr.shape
+    ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
+    xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
+    top = arr[np.ix_(y0, x0)] * (1 - wx) + arr[np.ix_(y0, x1)] * wx
+    bottom = arr[np.ix_(y1, x0)] * (1 - wx) + arr[np.ix_(y1, x1)] * wx
+    return top * (1 - wy) + bottom * wy
+
+
 class TestBilinearAndRender:
     def test_ramp_upsampling_matches_hand_values(self):
         ramp = np.array([[0.0, 1.0], [2.0, 3.0]])
@@ -148,6 +164,12 @@ class TestBilinearAndRender:
     def test_identity_when_sizes_match(self):
         arr = RNG.normal(size=(3, 5))
         np.testing.assert_allclose(bilinear_resize(arr, 3, 5), arr, rtol=1e-14)
+
+    @pytest.mark.parametrize("shape, out", [((4, 4), (64, 64)), ((3, 5), (7, 2)),
+                                            ((9, 6), (4, 13)), ((1, 1), (5, 3))])
+    def test_bit_equal_to_the_two_dimensional_gather(self, shape, out):
+        arr = RNG.normal(size=shape)
+        np.testing.assert_array_equal(bilinear_resize(arr, *out), _gather_resize(arr, *out))
 
     def test_constant_map_renders_black(self, tmp_path):
         hm = Heatmap(np.full((2, 2), 3.7), (32, 32), 16)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import os
+import stat
 import struct
 import zlib
 
@@ -325,6 +326,31 @@ class TestCheckpoint:
         assert written and written[0] > 0
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.ckpt"]
+
+    def test_the_temp_file_is_synced_before_the_rename(self, tmp_path, monkeypatch):
+        model, _ = tiny_setup()
+        path = tmp_path / "m.ckpt"
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", st.st_ino, stat.S_ISDIR(st.st_mode), st.st_size))
+            real_fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", os.fspath(src), os.fspath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        save_checkpoint(path, model, AdamState(), TrainSchedule(), seed=1, next_epoch=0)
+        written = path.stat()
+        assert [e[0] for e in events] == ["fsync", "replace", "fsync"]
+        # The renamed file keeps its inode: the first sync was the whole temp file.
+        assert events[0][1:] == (written.st_ino, False, written.st_size)
+        assert events[1][1].endswith(".tmp") and events[1][2] == os.fspath(path)
+        assert events[2][1:3] == (tmp_path.stat().st_ino, True)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         model, dataset = tiny_setup()
