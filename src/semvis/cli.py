@@ -24,7 +24,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -126,12 +126,16 @@ def cmd_train(args, parser) -> int:
         state = AdamState()
         start_epoch = 0
 
-    history = train(model, dataset, sched, seed, state=state, start_epoch=start_epoch,
-                    log_path=str(args.out) + ".log.jsonl")
-    for record in history:
-        print(f"epoch {record['epoch']}: loss {record['loss']:.6f} lr {record['lr']:.2e}",
-              file=sys.stderr)
-    save_checkpoint(args.out, model, state, sched, seed, next_epoch=sched.epochs)
+    # One epoch per call, each followed by a checkpoint: a crash loses at most the
+    # epoch in progress, and --resume continues from the last one saved.
+    for epoch in range(start_epoch, sched.epochs):
+        for record in train(model, dataset, replace(sched, epochs=epoch + 1), seed, state=state,
+                            start_epoch=epoch, log_path=str(args.out) + ".log.jsonl"):
+            print(f"epoch {record['epoch']}: loss {record['loss']:.6f} lr {record['lr']:.2e}",
+                  file=sys.stderr)
+        save_checkpoint(args.out, model, state, sched, seed, next_epoch=epoch + 1)
+    if start_epoch >= sched.epochs:
+        save_checkpoint(args.out, model, state, sched, seed, next_epoch=sched.epochs)
     print(f"checkpoint written to {args.out}", file=sys.stderr)
     return 0
 
@@ -168,8 +172,11 @@ def cmd_eval_retrieval(args, parser) -> int:
 
 def cmd_eval_pointing(args, parser) -> int:
     model = load_checkpoint(args.ckpt).model
-    dataset = read_dataset(args.data)
     k = args.k if args.k is not None else model.cfg.effective_top_k()
+    if not 1 <= k <= model.cfg.embed_dim:
+        parser.error(f"--k must be between 1 and the embedding size {model.cfg.embed_dim}, "
+                     f"got {k}")
+    dataset = read_dataset(args.data)
     report = eval_pointing(model, dataset.regions(), LocalizationConfig(top_k=k))
     out = report.to_dict()
     out["k"] = k
@@ -190,9 +197,9 @@ def cmd_localize(args, parser) -> int:
               "localizing the <unk> embedding", file=sys.stderr)
 
     with no_grad():
-        _, stack = model.encode_image(image, training=False)
+        _, stack = model.pooled_features([image])
         embedding = model.encode_text(token_ids, training=False)
-    maps = activation_maps(stack, model.params["proj.weight"])
+    maps = activation_maps(stack, model.params["proj.weight"])[0]
     cfg = LocalizationConfig(top_k=model.cfg.effective_top_k())
     hm = heatmap(maps, embedding, cfg, image.shape[1:], image.shape[1] // maps.shape[1])
     px, py = point(hm)

@@ -5,7 +5,10 @@ ranks in the top r) and the median best-correct rank, both directions.  The
 pointing game counts a phrase as localized when the heatmap peak falls
 inside its ground-truth box; the trivial baseline always answers the image
 center.  All ranking uses descending similarity with ties broken toward the
-lower index, so reports are bit-reproducible.
+lower index, so reports are bit-reproducible.  The pointing game scores a
+chunk of images at a time with ``localize``'s batched functions, which give
+every region the same heat and peak as the one-region ``heatmap`` and
+``point``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .errors import ContractError
-from .localize import LocalizationConfig, activation_maps, heatmap, point
+from .localize import (LocalizationConfig, activation_maps, peak_points, region_heat,
+                       top_k_indices)
 
 CAPTION_RETRIEVAL = "caption_retrieval"
 IMAGE_RETRIEVAL = "image_retrieval"
@@ -108,9 +112,10 @@ def eval_retrieval(sim, caption_owner, r_values=(1, 5, 10)) -> tuple[RetrievalRe
     return report(CAPTION_RETRIEVAL, cap_ranks), report(IMAGE_RETRIEVAL, img_ranks)
 
 
-def _box_contains(bbox, px: float, py: float) -> bool:
-    x, y, w, h = bbox
-    return x <= px < x + w and y <= py < y + h
+def _inside(boxes: np.ndarray, px, py) -> np.ndarray:
+    """Per row of (R, 4) (x, y, w, h) boxes: whether (px, py) lies in [x, x+w) x [y, y+h)."""
+    x, y, w, h = boxes.T
+    return (x <= px) & (px < x + w) & (y <= py) & (py < y + h)
 
 
 _POINTING_BATCH = 32   # distinct images per encode: bounds the batch's activations
@@ -120,36 +125,47 @@ def eval_pointing(model, regions, cfg: LocalizationConfig) -> PointingReport:
     """Run the pointing game over (image, phrase, bbox) annotations.
 
     For every region the phrase embedding picks and weights the activation
-    maps of its image; a hit means the heat peak lands inside the box.  Each
-    distinct image (by identity) is encoded once, up to ``_POINTING_BATCH``
-    same-size images per batch, and the distinct phrases in one call.
+    maps of its image; a hit means the heat peak lands inside the box.  The
+    distinct phrases encode in one call, and their top-k picks are made once
+    (a k above the embedding size fails before any image is encoded).  Each
+    distinct image (by identity) is encoded once, in chunks of up to
+    ``_POINTING_BATCH`` same-size images.  Per chunk, the maps of its images
+    and the heat, peak and box test of every region on them are arrays, so
+    maps are held for one chunk at a time, not for the whole call.
     """
     regions = list(regions)
     if not regions:
         raise ContractError("pointing game needs at least one region")
+    phrases = list(dict.fromkeys(phrase for _, phrase, _ in regions))
+    with no_grad():
+        embeddings = model.encode_texts(phrases).data
+    picked = top_k_indices(embeddings, cfg.top_k)
+    weights = np.abs(np.take_along_axis(embeddings, picked, axis=1))
+
     by_size: dict[tuple, dict[int, np.ndarray]] = {}
     for image, _, _ in regions:
         by_size.setdefault(image.shape, {})[id(image)] = image
-    phrases = list(dict.fromkeys(phrase for _, phrase, _ in regions))
-    maps = {}
-    with no_grad():
-        embeddings = dict(zip(phrases, model.encode_texts(phrases).data))
-        for group in by_size.values():
-            images = list(group.values())
-            for lo in range(0, len(images), _POINTING_BATCH):
-                chunk = images[lo:lo + _POINTING_BATCH]
-                _, stacks = model.pooled_features(chunk)
-                for k, image in enumerate(chunk):
-                    maps[id(image)] = activation_maps(stacks.data[:, k], model.params["proj.weight"])
-    hits = []
-    for image, phrase, bbox in regions:
-        height, width = image.shape[1:]
-        image_maps = maps[id(image)]
-        hm = heatmap(image_maps, embeddings[phrase], cfg, (height, width),
-                     height // image_maps.shape[1])
-        hits.append(_box_contains(bbox, *point(hm)))
-    accuracy = float(np.mean(hits))
-    return PointingReport(accuracy, hits, center_baseline(regions))
+    chunks, place = [], {}   # place: id(image) -> (its chunk, its slot in the chunk)
+    for group in by_size.values():
+        images = list(group.values())
+        for lo in range(0, len(images), _POINTING_BATCH):
+            place.update((id(image), (len(chunks), j))
+                         for j, image in enumerate(images[lo:lo + _POINTING_BATCH]))
+            chunks.append(images[lo:lo + _POINTING_BATCH])
+    chunk_of, slot = np.array([place[id(image)] for image, _, _ in regions]).T
+    row = {phrase: i for i, phrase in enumerate(phrases)}
+    rows = np.array([row[phrase] for _, phrase, _ in regions])
+    boxes = np.array([bbox for _, _, bbox in regions], dtype=np.float64)
+
+    hits = np.empty(len(regions), dtype=bool)
+    for c, images in enumerate(chunks):
+        with no_grad():
+            _, stacks = model.pooled_features(images)
+        maps = activation_maps(stacks, model.params["proj.weight"])
+        ask = np.flatnonzero(chunk_of == c)
+        heat = region_heat(maps, slot[ask], weights[rows[ask]], picked[rows[ask]])
+        hits[ask] = _inside(boxes[ask], *peak_points(heat, images[0].shape[1:]))
+    return PointingReport(float(np.mean(hits)), hits.tolist(), center_baseline(regions))
 
 
 def center_baseline(regions) -> float:
@@ -157,6 +173,6 @@ def center_baseline(regions) -> float:
     regions = list(regions)
     if not regions:
         return 0.0
-    hits = [_box_contains(bbox, image.shape[2] / 2.0, image.shape[1] / 2.0)
-            for image, _, bbox in regions]
-    return float(np.mean(hits))
+    boxes = np.array([bbox for _, _, bbox in regions], dtype=np.float64)
+    sizes = np.array([image.shape[1:] for image, _, _ in regions], dtype=np.float64)
+    return float(np.mean(_inside(boxes, sizes[:, 1] / 2.0, sizes[:, 0] / 2.0)))

@@ -6,6 +6,12 @@ dimension.  Given a text embedding, the maps at its top-k entries, weighted
 by the magnitudes of those entries, sum to a heatmap whose peak localizes
 the phrase.  Bias and normalization shift every cell equally, so they are
 omitted.
+
+The arithmetic is written once, batched: n images' maps in one stacked
+product, the heat of R regions in one stacked (R, 1, k) @ (R, k, h*w)
+product, their peaks in one row-wise argmax.  ``heatmap`` and ``point`` are
+its one-region calls, so the pointing game and ``semvis localize`` agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -49,50 +55,70 @@ def _as_array(x) -> np.ndarray:
 def activation_maps(feature_stack, weight) -> np.ndarray:
     """Per-pixel product of the projection matrix with the channel vector.
 
-    (C, h, w) features and a (d, C) matrix give (d, h, w) maps; equivalent
-    to a 1x1 convolution with the matrix as kernel.
+    (C, h, w) features and a (d, C) matrix give (d, h, w) maps, and a
+    (C, n, h, w) batch gives (n, d, h, w) from one stacked product;
+    equivalent to a 1x1 convolution with the matrix as kernel.
     """
     stack = _as_array(feature_stack)
     mat = _as_array(weight)
-    if stack.ndim != 3 or mat.ndim != 2 or mat.shape[1] != stack.shape[0]:
+    if stack.ndim not in (3, 4) or mat.ndim != 2 or mat.shape[1] != stack.shape[0]:
         raise ShapeError(f"activation_maps: shapes {mat.shape} and {stack.shape} do not line up")
-    c, h, w = stack.shape
-    return (mat @ stack.reshape(c, h * w)).reshape(mat.shape[0], h, w)
+    c, h, w = stack.shape[0], *stack.shape[-2:]
+    maps = np.matmul(mat, stack.reshape(c, -1, h * w).swapaxes(0, 1))
+    return maps.reshape(*stack.shape[1:-2], mat.shape[0], h, w)
 
 
-def top_k_indices(embedding, k: int) -> np.ndarray:
-    """Indices of the k largest (signed) entries, ties to the lower index.
+def top_k_indices(embeddings, k: int) -> np.ndarray:
+    """Indices of the k largest (signed) entries of a (d,) vector or of each
+    (P, d) row, ties to the lower index, in ascending index order."""
+    v = _as_array(embeddings)
+    if k > v.shape[-1]:
+        raise ShapeError(f"top_k: k={k} exceeds embedding size {v.shape[-1]}")
+    picked = np.argsort(-v, axis=-1, kind="stable")[..., :k]
+    return np.sort(picked, axis=-1)
 
-    Returned in ascending index order.
+
+def region_heat(maps: np.ndarray, image_of, weights: np.ndarray,
+                picked: np.ndarray) -> np.ndarray:
+    """(R, h, w) heat of R regions over the (n, d, h, w) maps of n images.
+
+    Region r sums the maps of image ``image_of[r]`` at its (k,) indices
+    ``picked[r]``, each weighted by ``weights[r]``: one stacked
+    (R, 1, k) @ (R, k, h*w) product.
     """
-    v = _as_array(embedding)
-    if k > v.size:
-        raise ShapeError(f"top_k: k={k} exceeds embedding size {v.size}")
-    picked = np.argsort(-v, kind="stable")[:k]
-    return np.sort(picked)
+    n, d, h, w = maps.shape
+    selected = maps.reshape(n, d, h * w)[np.asarray(image_of)[:, None], picked]
+    return np.matmul(weights[:, None, :], selected).reshape(len(weights), h, w)
 
 
 def heatmap(maps: np.ndarray, embedding, cfg: LocalizationConfig,
             image_size: tuple[int, int], downsample: int) -> Heatmap:
-    """Magnitude-weighted sum of the maps selected by the embedding's top-k entries."""
+    """Magnitude-weighted sum of the maps selected by the embedding's top-k entries:
+    ``region_heat`` of one region."""
     v = _as_array(embedding)
     if maps.shape[0] != v.size:
         raise ShapeError(f"heatmap: {maps.shape[0]} maps vs embedding size {v.size}")
     idx = top_k_indices(v, cfg.top_k)
-    values = np.tensordot(np.abs(v[idx]), maps[idx], axes=1)
+    values = region_heat(maps[None], [0], np.abs(v[idx])[None], idx[None])[0]
     return Heatmap(values, image_size, downsample)
 
 
-def point(hm: Heatmap) -> tuple[float, float]:
-    """Pixel coordinates (px, py) of the heat peak: the argmax cell's center.
+def peak_points(heat: np.ndarray, image_size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel coordinates (px, py) of each (h, w) map's peak in an (R, h, w) stack
+    over images of ``image_size`` (H, W): the argmax cell's center.
 
     Ties resolve to the first cell in row-major order.
     """
-    h, w = hm.values.shape
-    flat = int(np.argmax(hm.values))
-    row, col = divmod(flat, w)
-    height, width = hm.image_size
-    return ((col + 0.5) * width / w, (row + 0.5) * height / h)
+    r, h, w = heat.shape
+    row, col = np.divmod(np.argmax(heat.reshape(r, h * w), axis=1), w)
+    height, width = image_size
+    return (col + 0.5) * width / w, (row + 0.5) * height / h
+
+
+def point(hm: Heatmap) -> tuple[float, float]:
+    """``peak_points`` of one heatmap, as floats."""
+    px, py = peak_points(hm.values[None], hm.image_size)
+    return float(px[0]), float(py[0])
 
 
 def bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

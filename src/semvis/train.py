@@ -272,12 +272,15 @@ class _Reader:
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Advance past ``n`` bytes; returns where they start."""
         if self.pos + n > self.end:
             raise CheckpointError(f"{self.path}: truncated file")
-        out = self.blob[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return self.blob[self.skip(n):self.pos]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -289,9 +292,10 @@ class _Reader:
             name = self.take(self.u32()).decode("utf-8", "replace")
             rank = self.u32()
             shape = struct.unpack(f"<{rank}Q", self.take(8 * rank))
-            raw = self.take(8 * math.prod(shape))
+            count = math.prod(shape)
+            payload = np.frombuffer(self.blob, "<f8", count, self.skip(8 * count))
             try:   # numpy refuses ranks above 64 and dims it cannot index
-                out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+                out[name] = payload.reshape(shape).astype(np.float64)   # the one copy
             except ValueError as exc:
                 raise CheckpointError(f"{self.path}: {name}: {exc}") from None
         return out

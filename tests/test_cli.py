@@ -192,6 +192,29 @@ class TestTrain:
                      "--out", str(resumed)]) == 0
         assert resumed.read_bytes() == straight.read_bytes()
 
+    def test_a_crash_keeps_every_finished_epoch(self, tmp_path, capsys, workspace):
+        _, data, _, _ = workspace
+        flags = ["--epochs", "4", "--batch-size", "4", "--seed", "11"] + TINY_FLAGS
+        straight = tmp_path / "straight.ckpt"
+        assert main(["train", "--data", str(data), "--out", str(straight)] + flags) == 0
+
+        real = semvis.train.train_epoch
+
+        def crash_in_epoch_2(model, dataset, sched, state, epoch, seed):
+            if epoch == 2:
+                raise RuntimeError("killed in epoch 2")
+            return real(model, dataset, sched, state, epoch, seed)
+
+        crashed = tmp_path / "crashed.ckpt"
+        with mock.patch.object(semvis.train, "train_epoch", crash_in_epoch_2):
+            assert main(["train", "--data", str(data), "--out", str(crashed)] + flags) == 1
+        bundle = load_checkpoint(crashed)
+        assert bundle.next_epoch == 2 and bundle.schedule.epochs == 4
+        resumed = tmp_path / "resumed.ckpt"
+        assert main(["train", "--data", str(data), "--resume", str(crashed),
+                     "--out", str(resumed)]) == 0
+        assert resumed.read_bytes() == straight.read_bytes()
+
     def test_resume_on_another_vocabulary_exit_1(self, tmp_path, capsys, workspace):
         _, _, _, trained_ckpt = workspace
         other = tmp_path / "other"
@@ -281,6 +304,21 @@ class TestEvalCommands:
         assert set(report) == {"accuracy", "baseline", "n", "k"}
         assert report["k"] == 3
         assert 0.0 <= report["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("k", ["0", "-3", "17"])
+    def test_k_outside_one_to_embed_dim_exit_2(self, capsys, workspace, k):
+        _, data, _, trained_ckpt = workspace  # embed_dim 16
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-pointing", "--ckpt", str(trained_ckpt), "--data", str(data), "--k", k])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+
+    def test_k_equal_to_embed_dim_runs(self, capsys, workspace):
+        _, data, _, trained_ckpt = workspace
+        code, out, _ = run(capsys, "eval-pointing", "--ckpt", str(trained_ckpt),
+                           "--data", str(data), "--k", "16")
+        assert code == 0
+        assert json.loads(out)["k"] == 16
 
 
 class TestLocalize:

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semvis import evaluate
-from semvis.autodiff import Tensor
+from semvis.autodiff import Tensor, no_grad
 from semvis.data import generate_dataset
-from semvis.errors import ContractError
+from semvis.errors import ContractError, ShapeError
 from semvis.evaluate import center_baseline, eval_pointing, eval_retrieval
-from semvis.localize import LocalizationConfig, activation_maps, heatmap, point
+from semvis.localize import (LocalizationConfig, activation_maps, heatmap, peak_points, point,
+                             region_heat, top_k_indices)
 from semvis.model import Model, ModelConfig
 
 from conftest import argsort_retrieval_ranks
@@ -321,3 +322,104 @@ class TestPointingBatches:
         pinned = [(image, phrase, (int(px), int(py), 1, 1))
                   for (image, phrase, _), (px, py) in zip(regions, points)]
         assert all(eval_pointing(model, pinned, cfg).hits)
+
+
+def _per_region_oracle(image_maps, embedding, top_k, image_size):
+    """The heat and peak of one region as the single-region code computed them before
+    the batched path: a stable top-k, a ``tensordot`` of the magnitudes with the
+    selected maps, and the first flat argmax at its cell's pixel center."""
+    idx = np.sort(np.argsort(-embedding, kind="stable")[:top_k])
+    heat = np.tensordot(np.abs(embedding[idx]), image_maps[idx], axes=1)
+    h, w = heat.shape
+    row, col = divmod(int(np.argmax(heat)), w)
+    return heat, ((col + 0.5) * image_size[1] / w, (row + 0.5) * image_size[0] / h)
+
+
+def _image_maps(stack, weight):
+    """One image's (d, h, w) maps from its own (C, h, w) stack: the per-image product."""
+    c, h, w = stack.shape
+    return (weight @ stack.reshape(c, h * w)).reshape(weight.shape[0], h, w)
+
+
+def _every_phrase_on_every_image(dataset):
+    """Every phrase of the set asked of every image, plus 48x48 crops of three images."""
+    crops = [np.ascontiguousarray(s.image[:, 16:64, 0:48]) for s in dataset.scenes[:3]]
+    images = [s.image for s in dataset.scenes] + crops
+    phrases = sorted({phrase for s in dataset.scenes for phrase, _ in s.regions})
+    return images, phrases
+
+
+class TestBatchedPointingMatchesThePerRegionOracle:
+    @pytest.mark.parametrize("top_k", [1, 5, 64])
+    def test_heat_and_peaks_are_bit_equal(self, top_k):
+        dataset = generate_dataset(5, seed=21)
+        model = Model.initialize(ModelConfig(), dataset.vocab, seed=4)
+        weight = model.params["proj.weight"].data
+        images, phrases = _every_phrase_on_every_image(dataset)
+        with no_grad():
+            embeddings = model.encode_texts(phrases).data
+        picked = top_k_indices(embeddings, top_k)
+        weights = np.abs(np.take_along_axis(embeddings, picked, axis=1))
+        for size in {image.shape for image in images}:
+            group = [image for image in images if image.shape == size]
+            with no_grad():
+                _, stacks = model.pooled_features(group)
+            maps = activation_maps(stacks, weight)
+            # One phrase asked of many images: region r is (image r // P, phrase r % P).
+            image_of = np.repeat(np.arange(len(group)), len(phrases))
+            rows = np.tile(np.arange(len(phrases)), len(group))
+            heat = region_heat(maps, image_of, weights[rows], picked[rows])
+            px, py = peak_points(heat, size[1:])
+            for r, (i, p) in enumerate(zip(image_of, rows)):
+                with no_grad():
+                    _, stack = model.encode_image(group[i])
+                image_maps = _image_maps(stack.data, weight)
+                np.testing.assert_array_equal(maps[i], image_maps)
+                want_heat, want_peak = _per_region_oracle(image_maps, embeddings[p], top_k,
+                                                          size[1:])
+                np.testing.assert_array_equal(heat[r], want_heat)
+                assert (px[r], py[r]) == want_peak
+
+    @pytest.mark.parametrize("top_k", [1, 64])
+    def test_two_sizes_in_one_call_score_the_oracle_peaks(self, top_k):
+        dataset = generate_dataset(5, seed=22)
+        model = Model.initialize(ModelConfig(), dataset.vocab, seed=6)
+        weight = model.params["proj.weight"].data
+        images, phrases = _every_phrase_on_every_image(dataset)
+        peaks = {}
+        for image in images:
+            with no_grad():
+                _, stack = model.encode_image(image)
+            for phrase in phrases:
+                with no_grad():
+                    v = model.encode_text(phrase).data
+                peaks[id(image), phrase] = _per_region_oracle(_image_maps(stack.data, weight), v,
+                                                              top_k, image.shape[1:])[1]
+        queries = [(image, phrase) for phrase in phrases for image in images]
+        order = np.random.default_rng(1).permutation(len(queries))
+        queries = [queries[i] for i in order]
+        # A one-pixel box on the oracle's peak hits; the same box one pixel left misses.
+        on = [(image, phrase, (int(peaks[id(image), phrase][0]), int(peaks[id(image), phrase][1]),
+                               1, 1)) for image, phrase in queries]
+        off = [(image, phrase, (x - 1, y, 1, 1)) for image, phrase, (x, y, _, _) in on]
+        report = eval_pointing(model, on + off, LocalizationConfig(top_k=top_k))
+        assert report.hits == [True] * len(on) + [False] * len(off)
+
+    def test_a_constant_stack_peaks_at_the_first_cell(self):
+        oracle, regions = build_oracle_case(np.random.default_rng(7), n_scenes=3)
+        flat = {key: np.full_like(stack, 0.25) for key, stack in oracle.stacks.items()}
+        model = _OracleModel(list(oracle.phrase_index), flat)
+        first = [(image, phrase, (8, 8, 1, 1)) for image, phrase, _ in regions]   # (8, 8): cell 0
+        second = [(image, phrase, (24, 8, 1, 1)) for image, phrase, _ in regions]
+        report = eval_pointing(model, first + second, LocalizationConfig(top_k=2))
+        assert report.hits == [True] * 3 + [False] * 3
+        heat = region_heat(np.full((2, 3, 4, 4), 0.25), [1, 0], np.ones((2, 2)),
+                           np.array([[0, 2], [1, 2]]))
+        assert [p.tolist() for p in peak_points(heat, (64, 64))] == [[8.0, 8.0], [8.0, 8.0]]
+
+    def test_top_k_above_the_embedding_size_fails_before_any_image_encodes(self):
+        oracle, regions = build_oracle_case(np.random.default_rng(8), n_scenes=3)
+        model = _CountingModel(list(oracle.phrase_index), oracle.stacks)
+        with pytest.raises(ShapeError, match="exceeds embedding size 3"):
+            eval_pointing(model, regions, LocalizationConfig(top_k=4))
+        assert model.image_calls == []

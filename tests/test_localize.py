@@ -1,15 +1,20 @@
 """Localization: activation maps, top-k selection, heatmaps, peak extraction."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semvis import autodiff as ad
-from semvis.autodiff import Tensor
+from semvis.autodiff import Tensor, no_grad
+from semvis.data import generate_dataset
 from semvis.localize import (Heatmap, LocalizationConfig, activation_maps,
                              bilinear_resize, heatmap, point, render_heatmap,
                              top_k_indices)
+from semvis.model import Model, ModelConfig
 from semvis.ppm import read_ppm
 
 RNG = np.random.default_rng(21)
@@ -198,3 +203,32 @@ class TestBilinearAndRender:
         assert gray.max() == 255
         peak_row, peak_col = np.unravel_index(np.argmax(gray), gray.shape)
         assert 0 <= peak_row < 16 and 16 <= peak_col < 32  # inside the peak cell block
+
+
+# sha256 over every region's single-region heatmap values and peak, for the
+# regions of generate_dataset(12, seed=5) and of 48x48 crops of its first four
+# images, on Model.initialize(ModelConfig(), vocab, seed=3) at the default top_k.
+GOLDEN_POINTING = "f8e9f6be32433e283c0a15a9a92362b741cdb02580aa1c13c6acc0ae2d89bf4a"
+
+
+def pin_regions():
+    dataset = generate_dataset(12, seed=5)
+    crops = [(np.ascontiguousarray(s.image[:, 8:56, 16:64]), s) for s in dataset.scenes[:4]]
+    regions = list(dataset.regions()) + [(crop, phrase, (0, 0, 16, 16))
+                                         for crop, scene in crops for phrase, _ in scene.regions]
+    return Model.initialize(ModelConfig(), dataset.vocab, seed=3), regions
+
+
+class TestPointingPin:
+    def test_single_region_heat_and_peaks_are_pinned(self):
+        model, regions = pin_regions()
+        cfg = LocalizationConfig(top_k=model.cfg.effective_top_k())
+        digest = hashlib.sha256()
+        with no_grad():
+            for image, phrase, _ in regions:
+                _, stack = model.encode_image(image)
+                maps = activation_maps(stack, model.params["proj.weight"])
+                hm = heatmap(maps, model.encode_text(phrase), cfg, image.shape[1:],
+                             image.shape[1] // maps.shape[1])
+                digest.update(hm.values.tobytes() + struct.pack("<2d", *point(hm)))
+        assert digest.hexdigest() == GOLDEN_POINTING

@@ -365,6 +365,22 @@ class TestCheckpoint:
                         bundle.seed, bundle.next_epoch)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_decoded_arrays_are_writable_copies_of_the_file(self, tmp_path):
+        # Adam updates parameters and moments in place, so none may be a view of the bytes read.
+        model, dataset = tiny_setup()
+        sched = TrainSchedule(epochs=1, batch_size=4)
+        state = AdamState()
+        train_epoch(model, dataset, sched, state, epoch=0, seed=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, state, sched, seed=1, next_epoch=1)
+        blob = path.read_bytes()
+        _, params, moments = _decode(blob, path)
+        assert moments and params
+        raw = np.frombuffer(blob, dtype=np.uint8)
+        for arr in [*params.values(), *moments.values()]:
+            assert arr.flags.writeable and arr.dtype == np.float64
+            assert not np.shares_memory(arr, raw)
+
     def test_loaded_model_reproduces_embeddings(self, tmp_path):
         model, dataset = tiny_setup()
         path = tmp_path / "m.ckpt"
