@@ -211,17 +211,13 @@ class TestBilinearAndRender:
 GOLDEN_POINTING = "f8e9f6be32433e283c0a15a9a92362b741cdb02580aa1c13c6acc0ae2d89bf4a"
 
 
-def pin_regions():
-    dataset = generate_dataset(12, seed=5)
-    crops = [(np.ascontiguousarray(s.image[:, 8:56, 16:64]), s) for s in dataset.scenes[:4]]
-    regions = list(dataset.regions()) + [(crop, phrase, (0, 0, 16, 16))
-                                         for crop, scene in crops for phrase, _ in scene.regions]
-    return Model.initialize(ModelConfig(), dataset.vocab, seed=3), regions
-
-
 class TestPointingPin:
     def test_single_region_heat_and_peaks_are_pinned(self):
-        model, regions = pin_regions()
+        dataset = generate_dataset(12, seed=5)
+        crops = [(np.ascontiguousarray(s.image[:, 8:56, 16:64]), s) for s in dataset.scenes[:4]]
+        regions = list(dataset.regions()) + [(crop, phrase, (0, 0, 16, 16))
+                                             for crop, scene in crops for phrase, _ in scene.regions]
+        model = Model.initialize(ModelConfig(), dataset.vocab, seed=3)
         cfg = LocalizationConfig(top_k=model.cfg.effective_top_k())
         digest = hashlib.sha256()
         with no_grad():
