@@ -10,26 +10,3 @@ only dependency is numpy.
 """
 
 __version__ = "0.1.0"
-
-from .autodiff import Tensor, grad_check
-from .data import Dataset, Scene, SceneConfig, generate_dataset, read_dataset, write_dataset
-from .evaluate import (PointingReport, RetrievalReport, center_baseline, eval_pointing,
-                       eval_retrieval)
-from .localize import Heatmap, LocalizationConfig, activation_maps, heatmap, point
-from .loss import Batch, LossConfig, batch_loss
-from .model import Model, ModelConfig
-from .text import Vocab, tokenize
-from .train import (AdamState, TrainSchedule, adam_step, effective_lr, load_checkpoint,
-                    save_checkpoint, train_epoch, trainable_set)
-
-__all__ = [
-    "Tensor", "grad_check",
-    "Dataset", "Scene", "SceneConfig", "generate_dataset", "read_dataset", "write_dataset",
-    "PointingReport", "RetrievalReport", "center_baseline", "eval_pointing", "eval_retrieval",
-    "Heatmap", "LocalizationConfig", "activation_maps", "heatmap", "point",
-    "Batch", "LossConfig", "batch_loss",
-    "Model", "ModelConfig",
-    "Vocab", "tokenize",
-    "AdamState", "TrainSchedule", "adam_step", "effective_lr", "load_checkpoint",
-    "save_checkpoint", "train_epoch", "trainable_set",
-]

@@ -7,9 +7,11 @@ All arithmetic is float64 so that finite-difference gradient checks are
 decisive.
 
 Image ops take a channel-major (C, N, H, W) batch, or one (C, H, W) image
-as a batch of one; ``conv2d`` is one node per batch, gathers each image's
-patches with one lookup through a cached index table and fuses its channel
-bias and ReLU, so it keeps one activation alive.
+as a batch of one; ``conv2d`` is one node per batch, gathers a chunk of
+images' patches with one lookup through a cached index table and fuses its
+channel bias and ReLU, so it keeps one activation alive.  It has one kernel:
+the same chunks run on the calling thread alone or, for a large batch, shared
+with a helper thread.
 Pooling yields (N, C) rows, and the row-wise ops (``linear``,
 ``l2_normalize``, ``dropout``) treat a vector as a batch of one.  A batched
 op computes each example with the same BLAS calls as a batch of one would,
@@ -24,8 +26,8 @@ so evaluation keeps no closures or buffers alive.  Tensors are immutable
 after creation except for gradient accumulation (and in-place parameter
 updates by an optimizer that owns them exclusively).  A graph is built and
 back-propagated by one user thread, but a large batched ``conv2d`` shares
-its per-image work with a helper thread (``_Share``), with the same results
-bit for bit.  Independent graphs share no mutable state (the cached conv2d
+its chunks with a helper thread (``_Share``), with the same results bit for
+bit.  Independent graphs share no mutable state (the cached conv2d
 tables are read-only, and the helper serves one call at a time while the
 others run on their own threads) and may run in parallel threads.
 
@@ -464,8 +466,8 @@ def l2_normalize(a: Tensor) -> Tensor:
 # spatial ops
 # ---------------------------------------------------------------------------
 
-# A batched conv2d whose patch matrices and kernel-gradient partials fill at least
-# _SPLIT_MIN_CHUNKS chunks of about _CHUNK_BYTES shares them out chunk by chunk.
+# conv2d runs a batch in chunks of about _CHUNK_BYTES of patch matrices and
+# kernel-gradient partials, and shares a batch of at least _SPLIT_MIN_CHUNKS chunks.
 _CHUNK_BYTES = 1 << 20
 _SPLIT_MIN_CHUNKS = 4
 _PARTIAL_WINDOW = 4   # chunks of kernel-gradient partials a split batch keeps alive
@@ -643,44 +645,58 @@ def _gather(images: np.ndarray, index: np.ndarray, flat: np.ndarray, cols: np.nd
     return np.take(flat[:hi - lo], index, axis=1, out=cols[:hi - lo], mode="clip")
 
 
-def _split_scratch(images: np.ndarray, index: np.ndarray,
-                   chunk: int) -> tuple[np.ndarray, np.ndarray]:
+def _conv_scratch(images: np.ndarray, index: np.ndarray, chunk: int,
+                  threads: int) -> tuple[np.ndarray, np.ndarray]:
     """Per thread, ``_gather``'s ``flat`` and ``cols`` for a chunk of images; each pass
     allocates its own on the calling thread, so none outlives it."""
     cin, _, h, w = images.shape
-    return np.zeros((2, chunk, cin * h * w + 1)), np.empty((2, chunk, *index.shape))
+    return (np.zeros((threads, chunk, cin * h * w + 1)),
+            np.empty((threads, chunk, *index.shape)))
 
 
-def _split_forward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk: int,
-                   out: np.ndarray) -> None:
-    """``conv2d``'s GEMMs into ``out`` (Cout, N, positions), chunk by chunk on two threads:
-    one ``take`` per chunk, and one matmul call whose GEMMs are the per-image ones."""
+def _run_items(n: int, item: Callable[[int, int], None], fold: Callable[[int], None] | None,
+               window: int, split: bool) -> None:
+    """Items n-1, ..., 0, each folded once it has run: shared with the helper thread
+    where ``split`` (see ``_Share``), else run and folded in turn by the caller alone."""
+    if split:
+        _Share(n, item, fold, window).run()
+        return
+    for j in range(n - 1, -1, -1):
+        item(j, 0)
+        if fold is not None:
+            fold(j)
+
+
+def _conv_forward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk: int,
+                  split: bool, out: np.ndarray) -> None:
+    """``conv2d``'s GEMMs into ``out`` (Cout, N, positions), chunk by chunk: one ``take``
+    per chunk, and one matmul call whose GEMMs are the per-image ones."""
     n = images.shape[1]
     spans = [(lo, min(n, lo + chunk)) for lo in range(0, n, chunk)]
-    flat, cols = _split_scratch(images, index, chunk)
+    flat, cols = _conv_scratch(images, index, chunk, 2 if split else 1)
 
     def item(j: int, t: int) -> None:
         lo, hi = spans[j]
         np.matmul(k2, _gather(images, index, flat[t], cols[t], lo, hi),
                   out=out[:, lo:hi].swapaxes(0, 1))
 
-    _Share(len(spans), item).run()
+    _run_items(len(spans), item, None, 0, split)
 
 
-def _split_backward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk: int,
-                    g: np.ndarray, relu_out: np.ndarray | None, bias_grad: bool,
-                    kernel_grad: bool, input_grad: bool):
+def _conv_backward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk: int,
+                   split: bool, g: np.ndarray, relu_out: np.ndarray | None, bias_grad: bool,
+                   kernel_grad: bool, input_grad: bool):
     """``conv2d``'s bias (Cout,), kernel (Cout, K) and input (Cin, N, H*W) gradients, each
-    None where not wanted, chunk by chunk on two threads.  With ``relu_out``, the
-    output gradient ``g`` is masked where that output is not positive, a chunk at a
-    time.  The per-image bias and kernel partials are summed on the calling thread
-    last image first, as ``sum_examples`` sums them."""
+    None where not wanted, chunk by chunk.  With ``relu_out``, the output gradient ``g``
+    is masked where that output is not positive, a chunk at a time.  The per-image bias
+    and kernel partials are summed on the calling thread last image first, as
+    ``sum_examples`` sums them."""
     cin, n, h, w = images.shape
     cout, positions = g.shape[0], g.shape[2]
     spans = [(lo, min(n, lo + chunk)) for lo in range(0, n, chunk)]
-    window = min(len(spans), _PARTIAL_WINDOW)
-    flat, cols = _split_scratch(images, index, chunk)
-    masked = np.empty((2, chunk, cout, positions)) if relu_out is not None else None
+    threads, window = (2, min(len(spans), _PARTIAL_WINDOW)) if split else (1, 1)
+    flat, cols = _conv_scratch(images, index, chunk, threads)
+    masked = np.empty((threads, chunk, cout, positions)) if relu_out is not None else None
     mask = np.empty(masked.shape, dtype=bool) if relu_out is not None else None
     parts = [np.empty((window, chunk, *shape)) if wanted else None
              for wanted, shape in ((bias_grad, (cout,)), (kernel_grad, k2.shape))]
@@ -715,7 +731,7 @@ def _split_backward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk
                 else:
                     totals[i] += part[j % window, k - lo]
 
-    _Share(len(spans), item, fold if bias_grad or kernel_grad else None, window).run()
+    _run_items(len(spans), item, fold if bias_grad or kernel_grad else None, window, split)
     return totals[0], totals[1], gx
 
 
@@ -725,17 +741,18 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     ``bias`` (Cout,) and ReLU fused into the same node.
 
     ``x`` is a channel-major batch (Cin, N, H, W) or one image (Cin, H, W), and
-    ``kernel`` (Cout, Cin, kh, kw); the output keeps the layout.  Each image's
-    patch matrix (im2col) is one ``take`` through its geometry's cached index table
-    from a flat copy of the image that ends in the zero that padding reads, and meets
-    the kernel in its own GEMM into the batch's output: BLAS may round one wide GEMM
-    differently, and a one-image patch matrix stays small.  The kernel gradient
-    gathers the patches again instead of keeping them alive; the input gradient
-    scatters back with one ``bincount`` over the table, which adds each cell's
-    contributions in kernel-offset order, from 0.0.  A large batch shares this
-    work with a helper thread where ``_split_engaged()`` (see ``_Share``): chunk
-    by chunk, with each image's arithmetic unchanged and the kernel-gradient
-    partials still summed last image first, so either way gives the same bits.
+    ``kernel`` (Cout, Cin, kh, kw); the output keeps the layout.  The batch runs in
+    chunks of a few images.  A chunk's patch matrices (im2col) are one ``take``
+    through its geometry's cached index table from flat copies of its images that
+    each end in the zero that padding reads, and each image's patch matrix meets the
+    kernel in its own GEMM into the batch's output: BLAS may round one wide GEMM
+    differently, and a chunk's patch matrices stay small.  The kernel gradient
+    gathers the patches again instead of keeping them alive, and its per-image
+    partials are summed last image first; the input gradient scatters back with one
+    ``bincount`` per image over the table, which adds each cell's contributions in
+    kernel-offset order, from 0.0.  A large batch shares its chunks with a helper
+    thread where ``_split_engaged()`` (see ``_Share``); otherwise, as for a batch of
+    one, the caller runs the same chunks alone, so either way gives the same bits.
     Output spatial size is floor((H + 2*pad - kh)/stride) + 1 (same for W); a
     zero-size output raises ShapeError.
     """
@@ -760,47 +777,23 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     images = x.data.reshape(cin, n, h, w)
     k2 = kernel.data.reshape(cout, -1)
     index = _patch_index(cin, h, w, kh, kw, stride, pad)
-    chunk = max(1, _CHUNK_BYTES // (8 * index.shape[0] * (index.shape[1] + cout)))
+    chunk = min(n, max(1, _CHUNK_BYTES // (8 * index.shape[0] * (index.shape[1] + cout))))
     split = n >= _SPLIT_MIN_CHUNKS * chunk and _split_engaged()
-    flat = np.zeros(cin * h * w + 1)   # one image, then the zero that padding reads
-
-    def patches(k: int) -> np.ndarray:
-        flat[:-1].reshape(cin, h, w)[...] = images[:, k]
-        return flat.take(index)
 
     out = np.empty((cout, n, h_out * w_out))
-    if split:
-        _split_forward(images, k2, index, chunk, out)
-    else:
-        for k in range(n):
-            np.matmul(k2, patches(k), out=out[:, k])
+    _conv_forward(images, k2, index, chunk, split, out)
     if bias is not None:
         out += bias.data[:, None, None]
     if relu:
         np.maximum(out, 0.0, out=out)   # maximum, not where: NaN propagates
 
     def backward(g):
-        g = g.reshape(out.shape)
-        if split:
-            grads = _split_backward(images, k2, index, chunk, g, out if relu else None,
-                                    bias is not None, kernel.requires_grad, x.requires_grad)
-            for t, grad in zip((bias, kernel, x), grads):
-                if grad is not None:
-                    _accum(t, grad.reshape(t.data.shape))
-            return
-        if relu:
-            g = g * (out > 0.0)
-        if bias is not None:
-            _accum(bias, sum_examples(n, lambda k: g[:, k].sum(axis=1)))
-        if kernel.requires_grad:
-            _accum(kernel, sum_examples(n, lambda k: g[:, k] @ patches(k).T
-                                        ).reshape(kernel.data.shape))
-        if x.requires_grad:
-            gx = np.empty((cin, n, h * w), dtype=np.float64)
-            for k in range(n):
-                gx[:, k] = np.bincount(index.ravel(), (k2.T @ g[:, k]).ravel(),
-                                       flat.size)[:-1].reshape(cin, h * w)
-            _accum(x, gx.reshape(x.data.shape))
+        grads = _conv_backward(images, k2, index, chunk, split, g.reshape(out.shape),
+                               out if relu else None, bias is not None, kernel.requires_grad,
+                               x.requires_grad)
+        for t, grad in zip((bias, kernel, x), grads):
+            if grad is not None:
+                _accum(t, grad.reshape(t.data.shape))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _result(out.reshape(cout, *batch, h_out, w_out), parents, "conv2d", backward)

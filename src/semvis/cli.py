@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .autodiff import no_grad
 from .data import CELLS, Dataset, SceneConfig, generate_dataset, read_dataset, write_dataset
-from .errors import CheckpointError, DegenerateInputError
+from .errors import CheckpointError, ContractError, DegenerateInputError
 from .evaluate import RetrievalReport, eval_pointing, eval_retrieval
 from .localize import LocalizationConfig, activation_maps, heatmap, point, render_heatmap
 from .model import Model, ModelConfig, coerce_number, setting_type, settings_from
@@ -143,11 +143,12 @@ def cmd_train(args, parser) -> int:
 def cmd_eval_retrieval(args, parser) -> int:
     model = load_checkpoint(args.ckpt).model
     dataset = read_dataset(args.data)
-    images, captions, owners = _encode_corpus(model, dataset)
-
-    n = images.shape[0]
+    n = len(dataset.scenes)
+    if n == 0:
+        raise ContractError(f"dataset {args.data} is empty: retrieval needs at least one scene")
     if not 1 <= args.folds <= n:
         parser.error(f"--folds must be between 1 and the image count {n}, got {args.folds}")
+    images, captions, owners = _encode_corpus(model, dataset)
     bounds = np.linspace(0, n, args.folds + 1).astype(int)
     cap_reports, img_reports = [], []
     owners_arr = np.asarray(owners)

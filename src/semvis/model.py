@@ -174,9 +174,10 @@ class Model:
 
     def encode_image(self, image, training: bool = False,
                      rng_key: tuple = ()) -> tuple[Tensor, Tensor]:
-        """(embedding, feature stack) for a uint8 or float (3, H, W) image."""
-        img = image if isinstance(image, Tensor) else vis.image_to_tensor(image)
-        return vis.encode_image(img, self.params, self.cfg, training=training, rng_key=rng_key)
+        """(embedding (d,), feature stack (C, h, w)) for a uint8 or float (3, H, W) image:
+        ``visual.pooled_features``, then ``visual.project`` under ``rng_key``."""
+        pooled, stack = vis.pooled_features(vis.image_to_tensor(image), self.params, self.cfg)
+        return vis.project(pooled, self.params, self.cfg.visual_dropout, training, rng_key), stack
 
     def encode_text(self, text, training: bool = False, rng_key: tuple = ()) -> Tensor:
         """Embed a caption string, or a pre-tokenized list of token indices."""

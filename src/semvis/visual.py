@@ -83,17 +83,6 @@ def pooled_features(image: Tensor, params: dict, cfg: ModelConfig) -> tuple[Tens
     return pool(stack, cfg.pooling), stack
 
 
-def encode_image(image: Tensor, params: dict, cfg: ModelConfig,
-                 training: bool = False, rng_key: tuple | list = ()) -> tuple[Tensor, Tensor]:
-    """``pooled_features``, then ``project``: (embedding, pre-pooling feature stack).
-
-    A (3, N, H, W) batch with one dropout key per image gives (N, d) rows; one
-    (3, H, W) image gives (d,).  The localization module consumes the stack.
-    """
-    pooled, stack = pooled_features(image, params, cfg)
-    return project(pooled, params, cfg.visual_dropout, training, rng_key), stack
-
-
 def image_to_tensor(image: np.ndarray) -> Tensor:
     """uint8 (3, [N,] H, W) pixels -> float tensor in [0, 1] (already-float input passes
     through)."""

@@ -160,15 +160,16 @@ def _count_shares(monkeypatch):
     return runs
 
 
-def _conv_results(x, kernel, bias, stride, pad, relu, g):
+def _conv_results(x, kernel, bias, stride, pad, relu, g, conv=ad.conv2d):
     xs, ks, bs = (Tensor(a, requires_grad=True) for a in (x, kernel, bias))
-    out = ad.conv2d(xs, ks, stride, pad, bias=bs, relu=relu)
+    out = conv(xs, ks, stride, pad, bias=bs, relu=relu)
     out._backward(g)
     return out.data, xs.grad, ks.grad, bs.grad
 
 
 class TestConvSplit:
-    """A batch's per-image work shared with the helper thread gives the serial bits."""
+    """A batch's chunks give the per-offset reference's bits, on the calling thread alone
+    or shared with the helper thread."""
 
     @staticmethod
     def _inputs(cin, cout, side, k, stride, pad, n=32, seed=0):
@@ -182,16 +183,18 @@ class TestConvSplit:
     def test_forced_on_equals_forced_off(self, monkeypatch, geometry, chunk_bytes):
         cin, cout, side, k, stride, pad = geometry
         x, kernel, bias, g = self._inputs(*geometry)
-        monkeypatch.setattr(ad, "_split_engaged", lambda: False)
-        serial = _conv_results(x, kernel, bias, stride, pad, k == 3, g)
+        oracle = _conv_results(x, kernel, bias, stride, pad, k == 3, g, np_pad_conv2d)
         if chunk_bytes is not None:   # one image per chunk: even the 1x1 layer splits
             monkeypatch.setattr(ad, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(ad, "_split_engaged", lambda: False)
+        serial = _conv_results(x, kernel, bias, stride, pad, k == 3, g)
         runs = _count_shares(monkeypatch)
         split = _conv_results(x, kernel, bias, stride, pad, k == 3, g)
         # the 1x1 layer is too small to split at the default chunk size
         assert len(runs) == (0 if chunk_bytes is None and k == 1 else 2)
-        for got, want in zip(split, serial):
-            np.testing.assert_array_equal(got, want)
+        for got_off, got_on, want in zip(serial, split, oracle):
+            np.testing.assert_array_equal(got_off, want)
+            np.testing.assert_array_equal(got_on, want)
 
     @pytest.mark.parametrize("stride,pad,kernel_hw,shape", [
         (1, 1, (3, 2), (2, 9, 5, 7)),
@@ -200,14 +203,17 @@ class TestConvSplit:
     ])
     def test_uneven_chunks_equal_the_per_offset_reference(self, monkeypatch, stride, pad,
                                                           kernel_hw, shape):
-        """Chunks of 2 images over an odd batch (enough for a split): the last holds one."""
+        """Chunks of 2 images over an odd batch (enough for a split), the last holding one,
+        with the helper forced off and then forced on."""
         monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * 8 * (shape[0] * kernel_hw[0] * kernel_hw[1])
                             * (((shape[2] + 2 * pad - kernel_hw[0]) // stride + 1)
                                * ((shape[3] + 2 * pad - kernel_hw[1]) // stride + 1) + 4))
-        runs = _count_shares(monkeypatch)
         rng = np.random.default_rng(sum(shape))
-        TestConv2d._assert_matches_per_offset_reference(
-            rng.normal(size=shape), rng.normal(size=(4, shape[0], *kernel_hw)), stride, pad, 3)
+        x, kernel = rng.normal(size=shape), rng.normal(size=(4, shape[0], *kernel_hw))
+        monkeypatch.setattr(ad, "_split_engaged", lambda: False)
+        TestConv2d._assert_matches_per_offset_reference(x, kernel, stride, pad, 3)
+        runs = _count_shares(monkeypatch)
+        TestConv2d._assert_matches_per_offset_reference(x, kernel, stride, pad, 3)
         assert runs and all(len(share._done) == -(-shape[1] // 2) for share in runs)
 
     def test_a_batch_of_one_never_splits(self, monkeypatch):

@@ -289,11 +289,23 @@ class TestEvalCommands:
     @pytest.mark.parametrize("folds", ["0", "9"])
     def test_folds_outside_one_to_image_count_exit_2(self, capsys, workspace, folds):
         _, data, _, trained_ckpt = workspace  # 8 scenes
-        with pytest.raises(SystemExit) as exc:
+        with mock.patch.object(Model, "encode_images", side_effect=AssertionError("encoded")), \
+                pytest.raises(SystemExit) as exc:
             main(["eval-retrieval", "--ckpt", str(trained_ckpt), "--data", str(data),
                   "--folds", folds])
         assert exc.value.code == 2
         assert "--folds" in capsys.readouterr().err
+
+    def test_empty_dataset_exit_1_before_encoding(self, tmp_path, capsys, workspace):
+        _, _, _, trained_ckpt = workspace
+        empty = tmp_path / "empty"
+        assert main(["generate-data", "--out", str(empty), "--scenes", "0"]) == 0
+        capsys.readouterr()
+        with mock.patch.object(Model, "encode_images", side_effect=AssertionError("encoded")):
+            code, out, err = run(capsys, "eval-retrieval", "--ckpt", str(trained_ckpt),
+                                 "--data", str(empty))
+        assert code == 1 and out == ""
+        assert "empty" in err and str(empty) in err and "Traceback" not in err
 
     def test_pointing_report_schema_and_k_override(self, capsys, workspace):
         _, data, _, trained_ckpt = workspace

@@ -7,9 +7,10 @@ from conftest import naive_conv2d
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import ShapeError
-from semvis.model import ModelConfig, init_params, param_shapes
-from semvis.visual import (POOL_MAX_MIN, POOL_MEAN, adapt, backbone_forward, encode_image,
-                           image_to_tensor, pool, project)
+from semvis.model import Model, ModelConfig, init_params, param_shapes
+from semvis.text import Vocab
+from semvis.visual import (POOL_MAX_MIN, POOL_MEAN, adapt, backbone_forward, image_to_tensor,
+                           pool, project)
 
 RNG = np.random.default_rng(123)
 
@@ -18,6 +19,11 @@ def make_params(cfg=ModelConfig(), seed=0):
     # The visual tensors come first in the table, so they are drawn as they
     # would be alone; the text tensors drawn after them go unused.
     return init_params(param_shapes(cfg, 1), np.random.default_rng(seed))
+
+
+def make_model(cfg=ModelConfig(), seed=0):
+    """A ``Model`` over ``make_params``, with the one-token vocabulary they were drawn for."""
+    return Model(cfg, Vocab([]), make_params(cfg, seed))
 
 
 class TestBackbone:
@@ -135,51 +141,46 @@ class TestProject:
 class TestEncodeImage:
     def test_composition_equals_manual_chain(self):
         cfg = ModelConfig()
-        params = make_params(cfg, seed=9)
-        image = Tensor(RNG.random((3, 64, 64)))
-        x, stack = encode_image(image, params, cfg)
-        feats = backbone_forward(image, params, len(cfg.hidden_channels) + 1)
+        model = make_model(cfg, seed=9)
+        params = model.params
+        image = RNG.random((3, 64, 64))
+        x, stack = model.encode_image(image)
+        feats = backbone_forward(Tensor(image), params, len(cfg.hidden_channels) + 1)
         stack2 = adapt(feats, params)
         x2 = project(pool(stack2, cfg.pooling), params)
         np.testing.assert_array_equal(x.data, x2.data)
         np.testing.assert_array_equal(stack.data, stack2.data)
 
     def test_deterministic_in_eval_mode(self):
-        cfg = ModelConfig()
-        params = make_params(cfg, seed=2)
-        image = Tensor(RNG.random((3, 32, 32)))
-        a, _ = encode_image(image, params, cfg)
-        b, _ = encode_image(image, params, cfg)
+        model = make_model(seed=2)
+        image = RNG.random((3, 32, 32))
+        a, _ = model.encode_image(image)
+        b, _ = model.encode_image(image)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_shape_contract_at_defaults(self):
-        cfg = ModelConfig()
-        params = make_params(cfg)
-        x, stack = encode_image(Tensor(RNG.random((3, 64, 64))), params, cfg)
+        x, stack = make_model().encode_image(RNG.random((3, 64, 64)))
         assert x.shape == (64,) and stack.shape == (64, 4, 4)
 
     @pytest.mark.parametrize("side", [16, 32, 80])
     def test_variable_input_sizes(self, side):
-        cfg = ModelConfig()
-        params = make_params(cfg)
-        x, stack = encode_image(Tensor(RNG.random((3, side, side))), params, cfg)
+        x, stack = make_model().encode_image(RNG.random((3, side, side)))
         assert x.shape == (64,)
         assert stack.shape == (64, side // 16, side // 16)
         assert abs(np.linalg.norm(x.data) - 1.0) <= 1e-12
 
     def test_different_images_embed_differently(self):
-        cfg = ModelConfig()
-        params = make_params(cfg)
-        a, _ = encode_image(Tensor(RNG.random((3, 32, 32))), params, cfg)
-        b, _ = encode_image(Tensor(RNG.random((3, 32, 32))), params, cfg)
+        model = make_model()
+        a, _ = model.encode_image(RNG.random((3, 32, 32)))
+        b, _ = model.encode_image(RNG.random((3, 32, 32)))
         assert not np.allclose(a.data, b.data)
 
     def test_gradient_reaches_every_parameter(self):
         cfg = ModelConfig(backbone_channels=8, hidden_channels=(4, 4, 4), adapt_channels=8,
                           embed_dim=8)
-        params = make_params(cfg, seed=1)
-        image = Tensor(np.random.default_rng(0).random((3, 16, 16)))
-        x, _ = encode_image(image, params, cfg)
+        model = make_model(cfg, seed=1)
+        params = model.params
+        x, _ = model.encode_image(np.random.default_rng(0).random((3, 16, 16)))
         ad.dot(x, Tensor(np.random.default_rng(1).normal(size=8))).backward()
         named = [params[n] for n in ("proj.weight", "proj.bias", "adapt.kernel", "adapt.bias")]
         named += [params[f"backbone.{i}.{k}"] for i in range(4) for k in ("kernel", "bias")]
@@ -212,11 +213,11 @@ class TestBatchedImages:
             np.testing.assert_array_equal(row, micro_model.encode_image(image)[0].data)
 
     def test_batch_stack_is_channel_major(self, micro_model):
-        params, cfg = micro_model.params, micro_model.cfg
-        batch = Tensor(np.random.default_rng(72).random((3, 2, 32, 32)))
-        x, stack = encode_image(batch, params, cfg)
+        cfg = micro_model.cfg
+        batch = np.random.default_rng(72).random((3, 2, 32, 32))
+        pooled, stack = micro_model.pooled_features([batch[:, 0], batch[:, 1]])
+        x = micro_model.project(pooled)
         assert x.shape == (2, cfg.embed_dim)
         assert stack.shape == (cfg.adapt_channels, 2, 2, 2)
-        np.testing.assert_allclose(stack.data[:, 1],
-                                   encode_image(Tensor(batch.data[:, 1]), params, cfg)[1].data,
+        np.testing.assert_allclose(stack.data[:, 1], micro_model.encode_image(batch[:, 1])[1].data,
                                    rtol=1e-13, atol=1e-15)
