@@ -35,7 +35,7 @@ from .errors import CheckpointError, ContractError, DegenerateInputError
 from .evaluate import RetrievalReport, eval_pointing, eval_retrieval
 from .localize import LocalizationConfig, activation_maps, heatmap, point, render_heatmap
 from .model import Model, ModelConfig, coerce_number, setting_type, settings_from
-from .ppm import read_ppm
+from .ppm import overwrite, read_ppm
 from .text import tokenize
 from .train import (AdamState, TrainSchedule, load_checkpoint, save_checkpoint, train)
 
@@ -205,11 +205,9 @@ def cmd_localize(args, parser) -> int:
     hm = heatmap(maps, embedding, cfg, image.shape[1:], image.shape[1] // maps.shape[1])
     px, py = point(hm)
     render_heatmap(hm, image, args.out)
-    payload = {"x": px, "y": py, "heat_max": float(hm.values.max())}
-    with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(payload, sort_keys=True))
+    line = json.dumps({"x": px, "y": py, "heat_max": float(hm.values.max())}, sort_keys=True)
+    overwrite(f"{args.out}.json", (line + "\n").encode("utf-8"))
+    print(line)
     return 0
 
 

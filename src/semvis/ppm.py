@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import ManifestError
+
+
+def overwrite(path, data: bytes) -> None:
+    """Make ``path`` hold exactly ``data``, written over the old bytes and then cut to
+    length: no truncate to zero, which on ext4 forces writeback on close.  A new file gets
+    the mode ``open(path, "wb")`` gives it; like that call, this is not crash-safe."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -12,9 +23,7 @@ def write_ppm(path, image: np.ndarray) -> None:
     if image.ndim != 3 or image.shape[0] != 3 or image.dtype != np.uint8:
         raise ValueError(f"write_ppm expects (3,H,W) uint8, got {image.shape} {image.dtype}")
     _, h, w = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(image.transpose(1, 2, 0)).tobytes())
+    overwrite(path, f"P6\n{w} {h}\n255\n".encode("ascii") + image.transpose(1, 2, 0).tobytes())
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -22,9 +31,7 @@ def write_pgm(path, gray: np.ndarray) -> None:
     if gray.ndim != 2 or gray.dtype != np.uint8:
         raise ValueError(f"write_pgm expects (H,W) uint8, got {gray.shape} {gray.dtype}")
     h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(gray).tobytes())
+    overwrite(path, f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes())
 
 
 def read_ppm(path) -> np.ndarray:

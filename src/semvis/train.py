@@ -298,6 +298,8 @@ class _Reader:
                 out[name] = payload.reshape(shape).astype(np.float64)   # the one copy
             except ValueError as exc:
                 raise CheckpointError(f"{self.path}: {name}: {exc}") from None
+            if not np.isfinite(out[name]).all():
+                raise CheckpointError(f"{self.path}: {name} holds a NaN or infinite value")
         return out
 
 

@@ -22,6 +22,7 @@ from semvis.cli import main
 from semvis.data import read_dataset
 from semvis.errors import CheckpointError
 from semvis.model import Model, ModelConfig
+from semvis.ppm import read_ppm, write_ppm
 from semvis.train import TrainSchedule, _decode, _encode, load_checkpoint
 
 TINY_FLAGS = ["--backbone-channels", "8", "--hidden-channels", "4,4,4",
@@ -66,6 +67,21 @@ class TestGenerateData:
         assert not mismatch and not errors
         assert (tmp_path / "a" / "manifest.jsonl").read_bytes() == \
                (tmp_path / "b" / "manifest.jsonl").read_bytes()
+
+    def test_rewrite_over_a_larger_dataset_equals_a_fresh_one(self, tmp_path, capsys):
+        assert run(capsys, "generate-data", "--out", str(tmp_path / "old"),
+                   "--scenes", "5", "--seed", "7")[0] == 0
+        for name in ("old", "fresh"):
+            assert run(capsys, "generate-data", "--out", str(tmp_path / name),
+                       "--scenes", "3", "--seed", "8")[0] == 0
+        old, fresh = tmp_path / "old", tmp_path / "fresh"
+        manifest = (fresh / "manifest.jsonl").read_bytes()
+        assert (old / "manifest.jsonl").read_bytes() == manifest
+        assert (old / "vocab.txt").read_bytes() == (fresh / "vocab.txt").read_bytes()
+        images = [json.loads(line)["image"] for line in manifest.splitlines()]
+        assert len(images) == 3
+        for rel in images:
+            assert (old / rel).read_bytes() == (fresh / rel).read_bytes()
 
     def test_zero_scenes_is_a_valid_dataset(self, tmp_path, capsys):
         code, _, _ = run(capsys, "generate-data", "--out", str(tmp_path / "empty"),
@@ -333,13 +349,24 @@ class TestEvalCommands:
         assert json.loads(out)["k"] == 16
 
 
+LOCALIZED = (".pgm", "_overlay.ppm", ".json")
+
+
+def _localize(capsys, ckpt, image, prefix, text="red"):
+    """Run ``localize``; its stdout and the bytes of its three files."""
+    code, out, err = run(capsys, "localize", "--ckpt", str(ckpt), "--image", str(image),
+                         "--text", text, "--out", str(prefix))
+    assert code == 0, err
+    return out, tuple(open(f"{prefix}{ext}", "rb").read() for ext in LOCALIZED)
+
+
 class TestLocalize:
     def test_writes_all_artifacts_and_repeats_identically(self, tmp_path, capsys, workspace):
         _, data, _, trained_ckpt = workspace
         image = str(data / "images" / "000000.ppm")
         phrase = read_dataset(data).scenes[0].regions[0][0]
         blobs = []
-        for name in ("p1", "p2"):
+        for name in ("p1", "p2", "p2"):   # the second p2 request rewrites its own files
             prefix = str(tmp_path / name)
             code, out, _ = run(capsys, "localize", "--ckpt", str(trained_ckpt),
                                "--image", image, "--text", phrase, "--out", prefix)
@@ -347,9 +374,65 @@ class TestLocalize:
             payload = json.loads(out)
             assert set(payload) == {"x", "y", "heat_max"}
             assert payload == json.loads(open(prefix + ".json", encoding="utf-8").read())
-            blobs.append(tuple(open(prefix + ext, "rb").read()
-                               for ext in (".pgm", "_overlay.ppm", ".json")))
-        assert blobs[0] == blobs[1]
+            assert out.encode("utf-8") == open(prefix + ".json", "rb").read()
+            blobs.append(tuple(open(prefix + ext, "rb").read() for ext in LOCALIZED))
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("stale", [b"\xff" * 100_000, b"x"], ids=["longer", "shorter"])
+    def test_existing_files_are_replaced_whole(self, tmp_path, capsys, workspace, stale):
+        _, data, _, trained_ckpt = workspace
+        image = data / "images" / "000000.ppm"
+        fresh = _localize(capsys, trained_ckpt, image, tmp_path / "fresh")
+        for ext in LOCALIZED:
+            (tmp_path / f"old{ext}").write_bytes(stale)
+        assert _localize(capsys, trained_ckpt, image, tmp_path / "old") == fresh
+
+    def test_smaller_image_after_a_larger_one(self, tmp_path, capsys, workspace):
+        _, data, _, trained_ckpt = workspace
+        large = read_ppm(data / "images" / "000000.ppm")
+        assert large.shape == (3, 64, 64)
+        small = tmp_path / "small.ppm"
+        write_ppm(small, large[:, 16:48, 16:48])
+        _localize(capsys, trained_ckpt, data / "images" / "000000.ppm", tmp_path / "o")
+        rewritten = _localize(capsys, trained_ckpt, small, tmp_path / "o")
+        assert rewritten == _localize(capsys, trained_ckpt, small, tmp_path / "fresh")
+        _, (pgm, overlay, _) = rewritten
+        assert len(pgm) == len(b"P5\n32 32\n255\n") + 32 * 32
+        assert len(overlay) == len(b"P6\n32 32\n255\n") + 3 * 32 * 32
+        assert read_ppm(tmp_path / "o_overlay.ppm").shape == (3, 32, 32)
+
+    def test_a_request_truncates_no_file_on_open(self, tmp_path, capsys, workspace):
+        _, data, _, trained_ckpt = workspace
+        image = data / "images" / "000000.ppm"
+        _localize(capsys, trained_ckpt, image, tmp_path / "o")
+        opened, os_flags = [], []
+        real_open, real_os_open = open, os.open
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            opened.append((file, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        def spy_os_open(path, flags, *args):
+            os_flags.append(flags)
+            return real_os_open(path, flags, *args)
+
+        with mock.patch("builtins.open", spy_open), mock.patch("os.open", spy_os_open):
+            assert main(["localize", "--ckpt", str(trained_ckpt), "--image", str(image),
+                         "--text", "red", "--out", str(tmp_path / "o")]) == 0
+        # Every write goes through a descriptor from os.open, none of them with O_TRUNC.
+        assert all(isinstance(file, int) or "w" not in mode for file, mode in opened)
+        assert len(os_flags) == 3 and not any(flags & os.O_TRUNC for flags in os_flags)
+
+    def test_unwritable_output_paths_exit_1(self, tmp_path, capsys, workspace):
+        _, data, _, trained_ckpt = workspace
+        (tmp_path / "taken.pgm").mkdir()
+        for prefix in (tmp_path / "missing" / "o", tmp_path / "taken"):
+            code, out, err = run(capsys, "localize", "--ckpt", str(trained_ckpt),
+                                 "--image", str(data / "images" / "000000.ppm"),
+                                 "--text", "red", "--out", str(prefix))
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_empty_text_exit_2(self, tmp_path, capsys, workspace):
         _, data, _, trained_ckpt = workspace
@@ -427,6 +510,13 @@ MALFORMED = {
         b, lambda h, p, m: h["vocab"].insert(2, "<unk>")), "index 3"),
     "seed string": (_header_edit(seed="3"), "seed"),
     "version 1": (lambda b: b[:4] + struct.pack("<I", 1) + b[8:], "unsupported version 1"),
+    "proj.weight NaN": (lambda b: _with_header(
+        b, lambda h, p, m: p["proj.weight"].__setitem__((0, 0), np.nan)), "proj.weight holds"),
+    "adam.v inf": (lambda b: _with_header(
+        b, lambda h, p, m: (m.update({"adam.m.proj.bias": np.zeros(16),
+                                      "adam.v.proj.bias": np.full(16, np.inf)}),
+                            h["adam_steps"].update({"proj.bias": 1}))),
+        "adam.v.proj.bias holds"),
 }
 
 

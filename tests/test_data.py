@@ -14,7 +14,7 @@ from semvis.data import (COLORS, SHAPES, Dataset, Scene, SceneConfig, build_voca
                          caption_objects, generate_dataset, generate_scene, read_dataset,
                          write_dataset)
 from semvis.errors import GenerationError, ManifestError
-from semvis.ppm import read_ppm, write_ppm
+from semvis.ppm import overwrite, read_ppm, write_pgm, write_ppm
 
 # sha256 over generate_dataset(200, seed=4) and two scenes of 1 and 4 objects
 # (see _scenes_digest); a changed draw, mask or caption moves them.
@@ -208,6 +208,23 @@ class TestHostilePpm:
         path.write_bytes(b"P6\n" + dims + b"\n255\n" + bytes(48))
         with pytest.raises(ManifestError, match="not positive"):
             read_ppm(path)
+
+
+class TestOverwrite:
+    def test_a_new_file_gets_the_mode_open_gives_it(self, tmp_path):
+        overwrite(tmp_path / "new", b"abc")
+        with open(tmp_path / "plain", "wb") as fh:
+            fh.write(b"abc")
+        assert (tmp_path / "new").read_bytes() == b"abc"
+        assert os.stat(tmp_path / "new").st_mode == os.stat(tmp_path / "plain").st_mode
+
+    def test_rasters_are_cut_to_their_own_length(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        write_ppm(path, np.full((3, 8, 8), 7, dtype=np.uint8))
+        write_ppm(path, np.full((3, 2, 3), 9, dtype=np.uint8))
+        assert path.read_bytes() == b"P6\n3 2\n255\n" + bytes([9]) * 18
+        write_pgm(path, np.full((4, 4), 5, dtype=np.uint8))
+        assert path.read_bytes() == b"P5\n4 4\n255\n" + bytes([5]) * 16
 
 
 def _edit_line_2(tmp_path, edit):
