@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Everything the encoders and the ranking loss need is a composition of the
-primitives in this module: matrix products, strided 2-d convolution, the
-max+min spatial reduction, l2 normalization, and a small elementwise suite.
-All arithmetic is float64 so that finite-difference gradient checks are
-decisive.
+The encoders and the ranking loss are built from the primitives in this
+module: strided 2-d convolution with a fused bias and ReLU, max+min and mean
+spatial pooling, the affine map ``linear``, l2 normalization, dropout, row
+gathers, and ``fused_op`` for hand-written kernels (the recurrent layer and
+the loss).  All arithmetic is float64 so that finite-difference gradient
+checks are decisive.
 
 Image ops take a channel-major (C, N, H, W) batch, or one (C, H, W) image
 as a batch of one; ``conv2d`` is one node per batch, gathers a chunk of
@@ -100,10 +101,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
@@ -111,21 +108,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def sum(self) -> "Tensor":
-        return reduce_sum(self)
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every tracked ancestor.
@@ -211,11 +193,6 @@ def _accum(t: Tensor, g) -> None:
         t.grad = g if t.grad is None else t.grad + g
 
 
-def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     """Drop accumulated gradients (an optimizer does this after each step)."""
     for t in tensors:
@@ -251,55 +228,8 @@ def sum_examples(n: int, part: Callable[[int], np.ndarray]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise suite
+# stacking and dropout
 # ---------------------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("add", a, b)
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _result(a.data + b.data, (a, b), "add", backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("sub", a, b)
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _result(a.data - b.data, (a, b), "sub", backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("mul", a, b)
-
-    def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _result(a.data * b.data, (a, b), "mul", backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-
-    def backward(g):
-        _accum(a, g * mask)
-
-    # np.maximum (not where) so NaN poisoning propagates instead of being masked
-    return _result(np.maximum(a.data, 0.0), (a,), "relu", backward)
-
-
-def reduce_sum(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, np.full_like(a.data, float(g)))
-
-    return _result(a.data.sum(), (a,), "reduce_sum", backward)
-
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     """Stack same-width vectors, or (n, d) blocks of rows, into one matrix."""
@@ -396,30 +326,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product (m,k)@(k,n) -> (m,n), or matrix-vector (m,k)@(k,) -> (m,)."""
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} and {b.shape}")
-
-    if b.data.ndim == 2:
-        def backward(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-    else:
-        def backward(g):
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
-
-    return _result(a.data @ b.data, (a, b), "matmul", backward)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two same-shape tensors, as a differentiable scalar."""
-    return reduce_sum(mul(a, b))
-
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``weight @ x + bias`` of a vector (in,) or of each row of (N, in).

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,7 +215,11 @@ def generate_dataset(n_scenes: int, seed: int, cfg: SceneConfig = SceneConfig())
 
 
 def write_dataset(dataset: Dataset, out_dir) -> None:
-    os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
+    """Write ``dataset`` to ``out_dir``; images of an older dataset there that the new
+    manifest does not name (``images/NNNNNN.ppm``) are removed, other files are kept."""
+    images = os.path.join(out_dir, "images")
+    os.makedirs(images, exist_ok=True)
+    named = {f"{scene.scene_id:06d}.ppm" for scene in dataset.scenes}
     with open(os.path.join(out_dir, "manifest.jsonl"), "w", encoding="utf-8") as fh:
         for scene in dataset.scenes:
             rel = f"images/{scene.scene_id:06d}.ppm"
@@ -228,6 +233,9 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     vocab = dataset.vocab if dataset.vocab is not None else build_vocab(dataset.scenes)
     vocab.to_file(os.path.join(out_dir, "vocab.txt"))
+    for name in os.listdir(images):
+        if re.fullmatch(r"[0-9]{6}\.ppm", name) and name not in named:
+            os.remove(os.path.join(images, name))
 
 
 def read_dataset(in_dir) -> Dataset:

@@ -18,8 +18,47 @@ from semvis.train import (_EPOCH_SALT, _training_captions, adam_step, effective_
 
 
 # ---------------------------------------------------------------------------
-# reference ops: the elementwise and indexing steps of the op-by-op SRU cell
+# reference ops: the elementwise and indexing steps of the op-by-op oracles,
+# and the scalar loss of every gradient test
 # ---------------------------------------------------------------------------
+
+def weighted_sum(*pairs):
+    """Scalar sum over (tensor, weights) pairs of each tensor's entries times its
+    weights: an array of the tensor's shape, or a number for all of its entries."""
+    pairs = [(t, np.broadcast_to(_values(w), t.data.shape)) for t, w in pairs]
+    return ad.fused_op(sum((t.data * w).sum() for t, w in pairs), [t for t, _ in pairs],
+                       "weighted_sum", lambda g, acc: [acc(t, g * w) for t, w in pairs])
+
+
+def add(a, b):
+    return ad.fused_op(a.data + b.data, [a, b], "add", lambda g, acc: (acc(a, g), acc(b, g)))
+
+
+def sub(a, b):
+    return ad.fused_op(a.data - b.data, [a, b], "sub", lambda g, acc: (acc(a, g), acc(b, -g)))
+
+
+def mul(a, b):
+    return ad.fused_op(a.data * b.data, [a, b], "mul",
+                       lambda g, acc: (acc(a, g * b.data), acc(b, g * a.data)))
+
+
+def dot(a, b):
+    """Inner product of two same-shape tensors, as a scalar."""
+    return ad.fused_op((a.data * b.data).sum(), [a, b], "dot",
+                       lambda g, acc: (acc(a, g * b.data), acc(b, g * a.data)))
+
+
+def relu(a):
+    return ad.fused_op(np.maximum(a.data, 0.0), [a], "relu",
+                       lambda g, acc: acc(a, g * (a.data > 0.0)))
+
+
+def matvec(w, x):
+    """Matrix-vector product (m, k) @ (k,) -> (m,)."""
+    return ad.fused_op(w.data @ x.data, [w, x], "matvec",
+                       lambda g, acc: (acc(w, np.outer(g, x.data)), acc(x, w.data.T @ g)))
+
 
 def sigmoid(a):
     out = _stable_sigmoid(a.data)
@@ -101,19 +140,19 @@ def sru_cell(x_t, c_prev, params, depth=0):
     hidden = bias_f.shape[0]
     if c_prev.shape != (hidden,):
         raise ShapeError(f"sru_cell: carry shape {c_prev.shape} does not match hidden {hidden}")
-    wx = ad.matmul(weight, x_t)
+    wx = matvec(weight, x_t)
     candidate = slice_rows(wx, 0, hidden)
-    f = sigmoid(ad.add(slice_rows(wx, hidden, 2 * hidden), bias_f))
-    r = sigmoid(ad.add(slice_rows(wx, 2 * hidden, 3 * hidden), bias_r))
+    f = sigmoid(add(slice_rows(wx, hidden, 2 * hidden), bias_f))
+    r = sigmoid(add(slice_rows(wx, 2 * hidden, 3 * hidden), bias_r))
     one = Tensor(np.ones(hidden))
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(ad.sub(one, f), candidate))
+    c_t = add(mul(f, c_prev), mul(sub(one, f), candidate))
     if proj is not None:
-        x_hat = ad.matmul(proj, x_t)
+        x_hat = matvec(proj, x_t)
     elif x_t.shape == (hidden,):
         x_hat = x_t
     else:
         raise ShapeError(f"sru_cell: input shape {x_t.shape} needs a projection onto hidden {hidden}")
-    h_t = ad.add(ad.mul(r, tanh(c_t)), ad.mul(ad.sub(one, r), x_hat))
+    h_t = add(mul(r, tanh(c_t)), mul(sub(one, r), x_hat))
     return h_t, c_t
 
 
@@ -137,8 +176,8 @@ def triplet_loss(query, positive, negative, margin=0.2):
 
 def triplet_hinge(query, positive, negative, margin):
     """Differentiable version of ``triplet_loss`` (a scalar graph node)."""
-    gap = ad.sub(ad.dot(query, negative), ad.dot(query, positive))
-    return ad.relu(ad.add(gap, Tensor(np.float64(margin))))
+    gap = sub(dot(query, negative), dot(query, positive))
+    return relu(add(gap, Tensor(np.float64(margin))))
 
 
 def similarity_matrix(images, captions):

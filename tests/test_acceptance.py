@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (MICRO_CONFIG, add_channel_bias, enumerate_batch_loss,
-                      oracle_retrieval_ranks, sru_cell, triplet_hinge)
+                      oracle_retrieval_ranks, relu, sru_cell, triplet_hinge, weighted_sum)
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.data import generate_dataset
@@ -50,7 +50,7 @@ def _check_conv2d(seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-    return ad.grad_check(lambda: ad.reduce_sum(ad.conv2d(x, k, stride=2, pad=1)), [x, k])
+    return ad.grad_check(lambda: weighted_sum((ad.conv2d(x, k, stride=2, pad=1), 1.0)), [x, k])
 
 
 def _check_spatial_max_min(seed):
@@ -60,14 +60,14 @@ def _check_spatial_max_min(seed):
     flat = x.data.reshape(3, -1)
     gaps = np.sort(flat, axis=1)
     assert (gaps[:, 1] - gaps[:, 0] > 1e-3).all() and (gaps[:, -1] - gaps[:, -2] > 1e-3).all()
-    return ad.grad_check(lambda: ad.dot(ad.spatial_max_min(x), w), [x])
+    return ad.grad_check(lambda: weighted_sum((ad.spatial_max_min(x), w)), [x])
 
 
 def _check_l2_normalize(seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=7), requires_grad=True)
     w = Tensor(rng.normal(size=7))
-    return ad.grad_check(lambda: ad.dot(ad.l2_normalize(x), w), [x])
+    return ad.grad_check(lambda: weighted_sum((ad.l2_normalize(x), w)), [x])
 
 
 def _check_sru_cell(seed):
@@ -81,7 +81,7 @@ def _check_sru_cell(seed):
 
     def f():
         h, c = sru_cell(x, c_prev, layer)
-        return ad.add(ad.dot(h, w1), ad.dot(c, w2))
+        return weighted_sum((h, w1), (c, w2))
 
     return ad.grad_check(f, [x, c_prev, *layer.values()])
 
@@ -92,7 +92,7 @@ def _check_project(seed):
               "proj.bias": Tensor(rng.normal(size=4), requires_grad=True)}
     h = Tensor(rng.normal(size=6) + 2.0, requires_grad=True)
     w = Tensor(rng.normal(size=4))
-    return ad.grad_check(lambda: ad.dot(project(h, params), w),
+    return ad.grad_check(lambda: weighted_sum((project(h, params), w)),
                          [h, *params.values()])
 
 
@@ -169,7 +169,7 @@ def _reference_micro_batch(seed=7):
                                                  stride=2, pad=1),
                                        model.params[f"backbone.{i}.bias"])
                 relu_margin = min(relu_margin, np.abs(pre.data).min())
-                out = ad.relu(pre)
+                out = relu(pre)
             stack = vis.adapt(out, model.params)
             cells = np.sort(stack.data.reshape(stack.data.shape[0], -1), axis=1)
             pool_margin = min(pool_margin, (cells[:, -1] - cells[:, -2]).min(),
@@ -457,7 +457,7 @@ def test_criterion_9_full_scale_configuration():
         # of width 2400 fed by 620-dim word vectors.
         assert model.params["backbone.3.kernel"].shape == (2048, 64, 3, 3)
         assert model.params["adapt.kernel"].shape == (2400, 2048, 1, 1)
-        assert model.params["adapt.kernel"].size == 2048 * 2400
+        assert model.params["adapt.kernel"].data.size == 2048 * 2400
         assert model.params["proj.weight"].shape == (2400, 2400)
         assert model.params["proj.bias"].shape == (2400,)
         assert model.params["word.table"].shape == (len(vocab), 620)

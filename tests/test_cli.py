@@ -71,6 +71,7 @@ class TestGenerateData:
     def test_rewrite_over_a_larger_dataset_equals_a_fresh_one(self, tmp_path, capsys):
         assert run(capsys, "generate-data", "--out", str(tmp_path / "old"),
                    "--scenes", "5", "--seed", "7")[0] == 0
+        (tmp_path / "old" / "images" / "notes.txt").write_text("not an image\n")
         for name in ("old", "fresh"):
             assert run(capsys, "generate-data", "--out", str(tmp_path / name),
                        "--scenes", "3", "--seed", "8")[0] == 0
@@ -82,6 +83,11 @@ class TestGenerateData:
         assert len(images) == 3
         for rel in images:
             assert (old / rel).read_bytes() == (fresh / rel).read_bytes()
+        # the old dataset's other images are gone; a file outside their naming stays
+        names = sorted(rel.removeprefix("images/") for rel in images)
+        assert sorted(p.name for p in (fresh / "images").iterdir()) == names
+        assert sorted(p.name for p in (old / "images").iterdir()) == names + ["notes.txt"]
+        assert (old / "images" / "notes.txt").read_text() == "not an image\n"
 
     def test_zero_scenes_is_a_valid_dataset(self, tmp_path, capsys):
         code, _, _ = run(capsys, "generate-data", "--out", str(tmp_path / "empty"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sru_cell, stack1d
+from conftest import sru_cell, weighted_sum
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import DegenerateInputError
@@ -124,7 +124,7 @@ class TestSruCell:
 
         def f():
             h, c = sru_cell(x, c_prev, layer)
-            return ad.add(ad.dot(h, w1), ad.dot(c, w2))
+            return weighted_sum((h, w1), (c, w2))
 
         params = [x, c_prev, layer["sru.0.weight"], layer["sru.0.bias_f"],
                   layer["sru.0.bias_r"], layer["sru.0.proj"]]
@@ -137,7 +137,7 @@ class TestSruCell:
 
         def f():
             h, _ = sru_cell(x, Tensor(np.zeros(4)), layer)
-            return ad.reduce_sum(h)
+            return weighted_sum((h, 1.0))
 
         assert ad.grad_check(f, [x, layer["sru.0.weight"]]) < 1e-5
 
@@ -165,15 +165,15 @@ class TestSruLayerFusion:
 
         x_a, layer_a = tensors()
         out = sru_layer(x_a, layer_a)
-        ad.reduce_sum(ad.mul(out, Tensor(w))).backward()
+        weighted_sum((out, w)).backward()
 
         x_b, layer_b = tensors()
         c = Tensor(np.zeros(4))
         hs = []
         for t in range(5):
             h, c = sru_cell(ad.take_row(x_b, t), c, layer_b)
-            hs.append(ad.dot(h, Tensor(w[t])))
-        ad.reduce_sum(stack1d(hs)).backward()
+            hs.append(h)
+        weighted_sum(*zip(hs, w)).backward()
 
         np.testing.assert_allclose(x_a.grad, x_b.grad, rtol=1e-12, atol=1e-14)
         for name in ("sru.0.weight", "sru.0.bias_f", "sru.0.bias_r", "sru.0.proj"):
@@ -186,7 +186,7 @@ class TestSruLayerFusion:
         w = Tensor(np.random.default_rng(6).normal(size=(4, 3)))
 
         def f():
-            return ad.reduce_sum(ad.mul(sru_layer(x, layer), w))
+            return weighted_sum((sru_layer(x, layer), w))
 
         assert ad.grad_check(f, [x, layer["sru.0.weight"], layer["sru.0.bias_f"],
                                  layer["sru.0.bias_r"]]) < 1e-5
@@ -227,7 +227,7 @@ class TestEncodeText:
         rng = np.random.default_rng(12)
         cfg, params = text_params(4, 5, 2, rng)
         v = encode_text([2, 5, 2], params, cfg)
-        ad.dot(v, Tensor(rng.normal(size=5))).backward()
+        weighted_sum((v, rng.normal(size=5))).backward()
         used = np.any(params["word.table"].grad != 0.0, axis=1)
         np.testing.assert_array_equal(np.nonzero(used)[0], [2, 5])
 
@@ -264,16 +264,14 @@ class TestBatchedText:
         params = {n: p for n, p in micro_model.params.items() if n.startswith(("sru.", "word."))}
 
         def f():
-            return ad.reduce_sum(ad.mul(micro_model.encode_texts(seqs), Tensor(w)))
+            return weighted_sum((micro_model.encode_texts(seqs), w))
 
         assert ad.grad_check(f, list(params.values())) < 1e-5
         ad.zero_grads(params.values())
         f().backward()
         batched = {n: p.grad for n, p in params.items()}
         ad.zero_grads(params.values())
-        one_by_one = [ad.dot(micro_model.encode_text(seq), Tensor(row))
-                      for seq, row in zip(seqs, w)]
-        ad.reduce_sum(stack1d(one_by_one)).backward()
+        weighted_sum(*((micro_model.encode_text(seq), row) for seq, row in zip(seqs, w))).backward()
         for name, p in params.items():
             np.testing.assert_allclose(batched[name], p.grad, rtol=1e-12, atol=1e-13)
 

@@ -261,11 +261,13 @@ class TestTrainEpoch:
         assert history[5]["loss"] < history[0]["loss"]
 
     def test_non_finite_loss_aborts_with_batch_index(self):
-        model, dataset = tiny_setup()
-        model.params["proj.weight"].data[0, 0] = np.nan
-        sched = TrainSchedule(epochs=1, batch_size=4)
-        with pytest.raises(ArithmeticError, match="batch 0"):
-            train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
+        # A NaN kernel entry reaches the loss only because conv2d's fused ReLU passes NaN.
+        for name in ("proj.weight", "backbone.0.kernel"):
+            model, dataset = tiny_setup()
+            model.params[name].data.flat[0] = np.nan
+            sched = TrainSchedule(epochs=1, batch_size=4)
+            with pytest.raises(ArithmeticError, match="batch 0"):
+                train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
 
     def test_empty_dataset_rejected(self):
         model, dataset = tiny_setup()

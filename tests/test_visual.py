@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import naive_conv2d
-from semvis import autodiff as ad
+from conftest import naive_conv2d, weighted_sum
 from semvis.autodiff import Tensor
 from semvis.errors import ShapeError
 from semvis.model import Model, ModelConfig, init_params, param_shapes
@@ -181,7 +180,7 @@ class TestEncodeImage:
         model = make_model(cfg, seed=1)
         params = model.params
         x, _ = model.encode_image(np.random.default_rng(0).random((3, 16, 16)))
-        ad.dot(x, Tensor(np.random.default_rng(1).normal(size=8))).backward()
+        weighted_sum((x, np.random.default_rng(1).normal(size=8))).backward()
         named = [params[n] for n in ("proj.weight", "proj.bias", "adapt.kernel", "adapt.bias")]
         named += [params[f"backbone.{i}.{k}"] for i in range(4) for k in ("kernel", "bias")]
         for tensor in named:
