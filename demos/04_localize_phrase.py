@@ -9,8 +9,6 @@ Run:  python3 demos/04_localize_phrase.py [out_prefix]
 
 import sys
 
-import numpy as np
-
 from semvis.data import generate_dataset
 from semvis.localize import LocalizationConfig, activation_maps, heatmap, point, render_heatmap
 from semvis.model import Model, ModelConfig
@@ -27,19 +25,18 @@ for obj in scene.objects:
     print(f"  {obj.phrase:20s} bbox {obj.bbox}")
 
 _, stack = model.encode_image(scene.image)
-maps = activation_maps(stack, model.params["proj.weight"])
+maps = activation_maps(stack.data, model.params["proj.weight"].data)
 loc_cfg = LocalizationConfig(top_k=model.cfg.effective_top_k())
 
 for phrase, bbox in scene.regions:
-    v = model.encode_text(phrase)
-    hm = heatmap(maps, v, loc_cfg, (64, 64), 16)
-    px, py = point(hm)
+    heat = heatmap(maps, model.encode_text(phrase).data, loc_cfg)
+    px, py = point(heat, scene.image.shape[1:])
     x, y, w, h = bbox
     hit = x <= px < x + w and y <= py < y + h
     print(f"{phrase:20s} -> peak ({px:4.1f}, {py:4.1f})  box {bbox}  {'HIT' if hit else 'miss'}")
 
 if len(sys.argv) > 1:
     phrase = scene.regions[0][0]
-    hm = heatmap(maps, model.encode_text(phrase), loc_cfg, (64, 64), 16)
-    paths = render_heatmap(hm, scene.image, sys.argv[1])
+    heat = heatmap(maps, model.encode_text(phrase).data, loc_cfg)
+    paths = render_heatmap(heat, scene.image, sys.argv[1])
     print(f"wrote {paths[0]} and {paths[1]} for {phrase!r}")

@@ -24,7 +24,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .localize import LocalizationConfig, activation_maps, heatmap, point, rende
 from .model import Model, ModelConfig, coerce_number, setting_type, settings_from
 from .ppm import overwrite, read_ppm
 from .text import tokenize
-from .train import (AdamState, TrainSchedule, load_checkpoint, save_checkpoint, train)
+from .train import AdamState, TrainSchedule, load_checkpoint, train
 
 SEED_DEFAULT = 1
 CORPUS_CHUNK = 64   # images or distinct captions per batched encode in evaluation
@@ -126,16 +126,7 @@ def cmd_train(args, parser) -> int:
         state = AdamState()
         start_epoch = 0
 
-    # One epoch per call, each followed by a checkpoint: a crash loses at most the
-    # epoch in progress, and --resume continues from the last one saved.
-    for epoch in range(start_epoch, sched.epochs):
-        for record in train(model, dataset, replace(sched, epochs=epoch + 1), seed, state=state,
-                            start_epoch=epoch, log_path=str(args.out) + ".log.jsonl"):
-            print(f"epoch {record['epoch']}: loss {record['loss']:.6f} lr {record['lr']:.2e}",
-                  file=sys.stderr)
-        save_checkpoint(args.out, model, state, sched, seed, next_epoch=epoch + 1)
-    if start_epoch >= sched.epochs:
-        save_checkpoint(args.out, model, state, sched, seed, next_epoch=sched.epochs)
+    train(model, dataset, sched, seed, state=state, start_epoch=start_epoch, out=args.out)
     print(f"checkpoint written to {args.out}", file=sys.stderr)
     return 0
 
@@ -200,12 +191,11 @@ def cmd_localize(args, parser) -> int:
     with no_grad():
         _, stack = model.pooled_features([image])
         embedding = model.encode_text(token_ids, training=False)
-    maps = activation_maps(stack, model.params["proj.weight"])[0]
-    cfg = LocalizationConfig(top_k=model.cfg.effective_top_k())
-    hm = heatmap(maps, embedding, cfg, image.shape[1:], image.shape[1] // maps.shape[1])
-    px, py = point(hm)
-    render_heatmap(hm, image, args.out)
-    line = json.dumps({"x": px, "y": py, "heat_max": float(hm.values.max())}, sort_keys=True)
+    maps = activation_maps(stack.data, model.params["proj.weight"].data)[0]
+    heat = heatmap(maps, embedding.data, LocalizationConfig(top_k=model.cfg.effective_top_k()))
+    px, py = point(heat, image.shape[1:])
+    render_heatmap(heat, image, args.out)
+    line = json.dumps({"x": px, "y": py, "heat_max": float(heat.max())}, sort_keys=True)
     overwrite(f"{args.out}.json", (line + "\n").encode("utf-8"))
     print(line)
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import no_grad
 from .errors import ContractError
 from .localize import (LocalizationConfig, activation_maps, peak_points, region_heat,
                        top_k_indices)
@@ -54,7 +54,7 @@ _RANK_BLOCK_CELLS = 1 << 16   # bools per counting block: a block of rows stays 
 
 
 def eval_retrieval(sim, caption_owner, r_values=(1, 5, 10)) -> tuple[RetrievalReport, RetrievalReport]:
-    """Score a similarity matrix (rows images, columns captions) both ways.
+    """Score a similarity array (rows images, columns captions) both ways.
 
     ``caption_owner[j]`` is the image index that caption j describes.  The
     caption side asks, per image, where its best-ranked own caption lands;
@@ -63,7 +63,7 @@ def eval_retrieval(sim, caption_owner, r_values=(1, 5, 10)) -> tuple[RetrievalRe
     scores above it + the scores equal to it at a lower index.  A NaN own
     score is a ContractError.
     """
-    s = sim.data if isinstance(sim, Tensor) else np.asarray(sim, dtype=np.float64)
+    s = np.asarray(sim, dtype=np.float64)
     owners = np.asarray(caption_owner, dtype=np.int64)
     n_img, n_cap = s.shape
     if owners.shape != (n_cap,):
@@ -161,7 +161,7 @@ def eval_pointing(model, regions, cfg: LocalizationConfig) -> PointingReport:
     for c, images in enumerate(chunks):
         with no_grad():
             _, stacks = model.pooled_features(images)
-        maps = activation_maps(stacks, model.params["proj.weight"])
+        maps = activation_maps(stacks.data, model.params["proj.weight"].data)
         ask = np.flatnonzero(chunk_of == c)
         heat = region_heat(maps, slot[ask], weights[rows[ask]], picked[rows[ask]])
         hits[ask] = _inside(boxes[ask], *peak_points(heat, images[0].shape[1:]))

@@ -5,7 +5,8 @@ part per pixel turns the adaptation maps into one map per embedding
 dimension.  Given a text embedding, the maps at its top-k entries, weighted
 by the magnitudes of those entries, sum to a heatmap whose peak localizes
 the phrase.  Bias and normalization shift every cell equally, so they are
-omitted.
+omitted.  Nothing here trains, so it all runs on plain arrays (callers pass
+the model's ``.data``); a heat is (h, w), sized in pixels by its image.
 
 The arithmetic is written once, batched: n images' maps in one stacked
 product, the heat of R regions in one stacked (R, 1, k) @ (R, k, h*w)
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ShapeError
 from .ppm import write_pgm, write_ppm
 
@@ -34,33 +34,13 @@ class LocalizationConfig:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
 
-@dataclass
-class Heatmap:
-    values: np.ndarray            # (h, w), raw (unnormalized) heat
-    image_size: tuple[int, int]   # (H, W) of the source image
-    downsample: int
-
-    def __post_init__(self):
-        h, w = self.values.shape
-        if (self.image_size[0] != h * self.downsample
-                or self.image_size[1] != w * self.downsample):
-            raise ShapeError(f"heatmap {self.values.shape} x{self.downsample} does not cover "
-                             f"image {self.image_size}")
-
-
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def activation_maps(feature_stack, weight) -> np.ndarray:
+def activation_maps(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Per-pixel product of the projection matrix with the channel vector.
 
     (C, h, w) features and a (d, C) matrix give (d, h, w) maps, and a
     (C, n, h, w) batch gives (n, d, h, w) from one stacked product;
     equivalent to a 1x1 convolution with the matrix as kernel.
     """
-    stack = _as_array(feature_stack)
-    mat = _as_array(weight)
     if stack.ndim not in (3, 4) or mat.ndim != 2 or mat.shape[1] != stack.shape[0]:
         raise ShapeError(f"activation_maps: shapes {mat.shape} and {stack.shape} do not line up")
     c, h, w = stack.shape[0], *stack.shape[-2:]
@@ -68,10 +48,9 @@ def activation_maps(feature_stack, weight) -> np.ndarray:
     return maps.reshape(*stack.shape[1:-2], mat.shape[0], h, w)
 
 
-def top_k_indices(embeddings, k: int) -> np.ndarray:
+def top_k_indices(v: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest (signed) entries of a (d,) vector or of each
     (P, d) row, ties to the lower index, in ascending index order."""
-    v = _as_array(embeddings)
     if k > v.shape[-1]:
         raise ShapeError(f"top_k: k={k} exceeds embedding size {v.shape[-1]}")
     picked = np.argsort(-v, axis=-1, kind="stable")[..., :k]
@@ -91,16 +70,13 @@ def region_heat(maps: np.ndarray, image_of, weights: np.ndarray,
     return np.matmul(weights[:, None, :], selected).reshape(len(weights), h, w)
 
 
-def heatmap(maps: np.ndarray, embedding, cfg: LocalizationConfig,
-            image_size: tuple[int, int], downsample: int) -> Heatmap:
-    """Magnitude-weighted sum of the maps selected by the embedding's top-k entries:
-    ``region_heat`` of one region."""
-    v = _as_array(embedding)
+def heatmap(maps: np.ndarray, v: np.ndarray, cfg: LocalizationConfig) -> np.ndarray:
+    """(h, w) magnitude-weighted sum of the (d, h, w) maps selected by the (d,)
+    embedding's top-k entries: ``region_heat`` of one region."""
     if maps.shape[0] != v.size:
         raise ShapeError(f"heatmap: {maps.shape[0]} maps vs embedding size {v.size}")
     idx = top_k_indices(v, cfg.top_k)
-    values = region_heat(maps[None], [0], np.abs(v[idx])[None], idx[None])[0]
-    return Heatmap(values, image_size, downsample)
+    return region_heat(maps[None], [0], np.abs(v[idx])[None], idx[None])[0]
 
 
 def peak_points(heat: np.ndarray, image_size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -115,9 +91,9 @@ def peak_points(heat: np.ndarray, image_size: tuple[int, int]) -> tuple[np.ndarr
     return (col + 0.5) * width / w, (row + 0.5) * height / h
 
 
-def point(hm: Heatmap) -> tuple[float, float]:
-    """``peak_points`` of one heatmap, as floats."""
-    px, py = peak_points(hm.values[None], hm.image_size)
+def point(heat: np.ndarray, image_size: tuple[int, int]) -> tuple[float, float]:
+    """``peak_points`` of one (h, w) heat over an image of ``image_size`` (H, W), as floats."""
+    px, py = peak_points(heat[None], image_size)
     return float(px[0]), float(py[0])
 
 
@@ -138,14 +114,14 @@ def bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return rows[y0] * (1 - wy) + rows[y1] * wy
 
 
-def render_heatmap(hm: Heatmap, image: np.ndarray, prefix: str) -> tuple[str, str]:
-    """Write ``<prefix>.pgm`` (upsampled gray heat) and ``<prefix>_overlay.ppm``.
+def render_heatmap(heat: np.ndarray, image: np.ndarray, prefix: str) -> tuple[str, str]:
+    """Write ``<prefix>.pgm`` (the heat upsampled to the image, gray) and ``<prefix>_overlay.ppm``.
 
     The heat is min-max scaled to [0, 255] (a constant map renders as 0);
     the overlay blends it 50/50 with the image.
     """
-    height, width = hm.image_size
-    up = bilinear_resize(hm.values.astype(np.float64), height, width)
+    height, width = image.shape[1:]
+    up = bilinear_resize(heat, height, width)
     span = up.max() - up.min()
     gray = np.zeros_like(up) if span == 0 else (up - up.min()) / span * 255.0
     gray_u8 = np.clip(np.rint(gray), 0, 255).astype(np.uint8)

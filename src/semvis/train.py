@@ -35,6 +35,7 @@ import json
 import math
 import os
 import struct
+import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 
@@ -213,25 +214,29 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
 
 
 def train(model: Model, dataset: Dataset, sched: TrainSchedule, seed: int,
-          state: AdamState | None = None, start_epoch: int = 0,
-          log_path=None) -> list[dict]:
-    """Run epochs [start_epoch, sched.epochs); returns one log record per epoch."""
+          state: AdamState | None = None, start_epoch: int = 0, out=None) -> list[dict]:
+    """Run epochs [start_epoch, sched.epochs); returns one log record per epoch.
+
+    With a checkpoint path ``out``, each epoch's record is appended to
+    ``<out>.log.jsonl`` and reported on stderr, and the checkpoint is saved
+    after it: a crash loses at most the epoch in progress, and a resume
+    continues from the last one saved.  With no epoch left, it is saved once.
+    """
     if state is None:
         state = AdamState()
     history = []
-    log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
-        for epoch in range(start_epoch, sched.epochs):
-            loss = train_epoch(model, dataset, sched, state, epoch, seed)
-            record = {"epoch": epoch, "loss": loss, "lr": effective_lr(epoch, sched),
-                      "trainable": trainable_set(epoch, sched, model.params)}
-            history.append(record)
-            if log_fh:
-                log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-                log_fh.flush()
-    finally:
-        if log_fh:
-            log_fh.close()
+    for epoch in range(start_epoch, sched.epochs):
+        loss = train_epoch(model, dataset, sched, state, epoch, seed)
+        record = {"epoch": epoch, "loss": loss, "lr": effective_lr(epoch, sched),
+                  "trainable": trainable_set(epoch, sched, model.params)}
+        history.append(record)
+        if out is not None:
+            with open(f"{out}.log.jsonl", "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            print(f"epoch {epoch}: loss {loss:.6f} lr {record['lr']:.2e}", file=sys.stderr)
+            save_checkpoint(out, model, state, sched, seed, next_epoch=epoch + 1)
+    if out is not None and not history:
+        save_checkpoint(out, model, state, sched, seed, next_epoch=sched.epochs)
     return history
 
 

@@ -84,20 +84,6 @@ def slice_rows(a, start, stop):
     return ad.fused_op(a.data[start:stop].copy(), [a], "slice_rows", backward)
 
 
-def stack1d(parts):
-    """Stack scalar tensors into a vector."""
-    parts = tuple(parts)
-    for p in parts:
-        if p.data.shape != ():
-            raise ShapeError(f"stack1d needs scalars, got shape {p.data.shape}")
-
-    def backward(g, acc):
-        for i, p in enumerate(parts):
-            acc(p, g[i])
-
-    return ad.fused_op(np.array([p.data for p in parts]), parts, "stack1d", backward)
-
-
 def scale(a, c):
     """``a`` times the constant ``c``."""
     return ad.fused_op(a.data * float(c), [a], "scale", lambda g, acc: acc(a, g * float(c)))
@@ -111,18 +97,6 @@ def add_channel_bias(x, bias):
     shaped = bias.data.reshape(-1, *(1,) * len(axes))
     return ad.fused_op(x.data + shaped, [x, bias], "add_channel_bias",
                        lambda g, acc: (acc(x, g), acc(bias, g.sum(axis=axes))))
-
-
-def reduce_max(a):
-    """Maximum over all entries; the gradient goes to the first (row-major) argmax."""
-    idx = int(np.argmax(a.data))
-
-    def backward(g, acc):
-        buf = np.zeros_like(a.data)
-        buf.reshape(-1)[idx] = float(g)
-        acc(a, buf)
-
-    return ad.fused_op(a.data.reshape(-1)[idx], [a], "reduce_max", backward)
 
 
 def sru_cell(x_t, c_prev, params, depth=0):

@@ -17,7 +17,7 @@ from conftest import (MICRO_CONFIG, add_channel_bias, enumerate_batch_loss,
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.data import generate_dataset
-from semvis.evaluate import center_baseline, eval_pointing, eval_retrieval
+from semvis.evaluate import eval_pointing, eval_retrieval
 from semvis.localize import LocalizationConfig, activation_maps, heatmap, point, top_k_indices
 from semvis.loss import Batch, LossConfig, batch_loss
 from semvis.model import Model, ModelConfig
@@ -268,18 +268,18 @@ def test_criterion_5_localization_identities():
 
         maps = rng.normal(size=(6, 3, 4))
         v = rng.normal(size=6)
-        hm = heatmap(maps, v, LocalizationConfig(top_k=6), (48, 64), 16)
+        heat = heatmap(maps, v, LocalizationConfig(top_k=6))
         brute = np.zeros((3, 4))
         for u in range(6):
             brute += abs(v[u]) * maps[u]
-        assert np.allclose(hm.values, brute, rtol=1e-13, atol=0)
+        assert np.allclose(heat, brute, rtol=1e-13, atol=0)
 
         for _ in range(50):
             values = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
             h, w = values.shape
-            hm = heatmap(values[None].repeat(2, axis=0), np.array([1.0, -1.0]),
-                         LocalizationConfig(top_k=1), (h * 16, w * 16), 16)
-            px, py = point(hm)
+            heat = heatmap(values[None].repeat(2, axis=0), np.array([1.0, -1.0]),
+                           LocalizationConfig(top_k=1))
+            px, py = point(heat, (h * 16, w * 16))
             best = max(((i, j) for i in range(h) for j in range(w)),
                        key=lambda ij: (values[ij], -ij[0] * w - ij[1]))
             assert (px, py) == ((best[1] + 0.5) * 16.0, (best[0] + 0.5) * 16.0)
@@ -473,7 +473,7 @@ def test_criterion_9_full_scale_configuration():
         assert abs(np.linalg.norm(x.data) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(v.data) - 1.0) <= 1e-12
         assert stack.shape == (2400, 4, 4)
-        assert len(top_k_indices(v, cfg.effective_top_k())) == 180
+        assert len(top_k_indices(v.data, cfg.effective_top_k())) == 180
 
         sched = TrainSchedule(epochs=30, batch_size=160, lr0=0.001,
                               halving_until_epoch=7, freeze_epochs=8)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (add_channel_bias, mul, naive_conv2d, np_pad_conv2d, reduce_max, relu, scale,
-                      sigmoid, slice_rows, stack1d, tanh, weighted_sum)
+from conftest import (add_channel_bias, mul, naive_conv2d, np_pad_conv2d, relu, scale, sigmoid,
+                      slice_rows, tanh, weighted_sum)
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import DegenerateInputError, GraphError, ShapeError
@@ -502,11 +502,6 @@ class TestBackward:
 
 
 class TestReductionsAndIndexing:
-    def test_reduce_max_gradient_first_argmax(self):
-        x = Tensor([1.0, 3.0, 3.0, 2.0], requires_grad=True)
-        reduce_max(x).backward()
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
-
     def test_take_row_gradient_hits_only_that_row(self):
         table = randt(19, 4, 3)
         weighted_sum((ad.take_row(table, 2), 1.0)).backward()
@@ -518,13 +513,6 @@ class TestReductionsAndIndexing:
         x = randt(20, 6)
         err = ad.grad_check(lambda: weighted_sum((slice_rows(x, 2, 5), 1.0)), [x])
         assert err < 1e-9
-
-    def test_stack1d_gradient(self):
-        parts = [randt(21 + i) for i in range(4)]
-        reduce_max(stack1d(parts)).backward()
-        grads = [float(p.grad) for p in parts]
-        data = [p.item() for p in parts]
-        assert grads[int(np.argmax(data))] == 1.0 and sum(grads) == 1.0
 
     def test_add_channel_bias_gradient(self):
         x = randt(30, 3, 2, 2)

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semvis
-from semvis import cli
 from semvis.cli import main
 from semvis.data import read_dataset
 from semvis.errors import CheckpointError
@@ -236,6 +235,16 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--resume", str(crashed),
                      "--out", str(resumed)]) == 0
         assert resumed.read_bytes() == straight.read_bytes()
+
+    def test_resuming_a_finished_run_rewrites_its_checkpoint(self, tmp_path, workspace):
+        _, data, _, trained_ckpt = workspace
+        bundle = load_checkpoint(trained_ckpt)
+        assert bundle.next_epoch == bundle.schedule.epochs == 2
+        out = tmp_path / "again.ckpt"
+        assert main(["train", "--data", str(data), "--resume", str(trained_ckpt),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == trained_ckpt.read_bytes()
+        assert not (tmp_path / "again.ckpt.log.jsonl").exists()
 
     def test_resume_on_another_vocabulary_exit_1(self, tmp_path, capsys, workspace):
         _, _, _, trained_ckpt = workspace
@@ -641,7 +650,7 @@ class TestConfigProperty:
         cfg_path.write_bytes(text)
         out.unlink(missing_ok=True)
         argv = ["train", "--data", str(data), "--out", str(out), "--config", str(cfg_path)]
-        with mock.patch.object(cli, "train", lambda *args, **kwargs: []), \
+        with mock.patch.object(semvis.train, "train_epoch", lambda *args: 0.0), \
                 contextlib.redirect_stderr(io.StringIO()):
             try:
                 assert main(argv) == 0

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semvis import errors
-from semvis.data import (COLORS, SHAPES, Dataset, Scene, SceneConfig, build_vocab,
-                         caption_objects, generate_dataset, generate_scene, read_dataset,
-                         write_dataset)
+from semvis.data import (COLORS, SHAPES, Dataset, SceneConfig, caption_objects,
+                         generate_dataset, generate_scene, read_dataset, write_dataset)
 from semvis.errors import GenerationError, ManifestError
 from semvis.ppm import overwrite, read_ppm, write_pgm, write_ppm
 

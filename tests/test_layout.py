@@ -9,6 +9,9 @@ file's own definitions and imports, ``module.name`` through the module, and
 an attribute of any other object reaches every method and function of that
 name (the benchmark reaches modules through a dict, so this side stays
 generous).  Importing or re-exporting a name does not reach it.
+
+A second pass fails on any name that a file in ``src/``, ``tests/`` or
+``demos/`` imports and never reads.
 """
 
 import ast
@@ -176,3 +179,26 @@ def test_every_library_definition_is_reachable_from_a_product_path():
     dead = unreachable()
     assert not dead, ("reachable only from tests (move them to tests/ or delete them): "
                       + ", ".join(dead))
+
+
+def unread_imports() -> list[str]:
+    """``file:line name`` of every name a file in src/, tests/ or demos/ imports and
+    never reads (``from __future__`` imports aside)."""
+    unread = []
+    for path in sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return unread
+
+
+def test_every_imported_name_is_read():
+    unread = unread_imports()
+    assert not unread, "imported and never read: " + ", ".join(unread)

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor, no_grad
 from semvis.data import generate_dataset
-from semvis.localize import (Heatmap, LocalizationConfig, activation_maps,
-                             bilinear_resize, heatmap, point, render_heatmap,
-                             top_k_indices)
+from semvis.localize import (LocalizationConfig, activation_maps, bilinear_resize, heatmap,
+                             point, render_heatmap, top_k_indices)
 from semvis.model import Model, ModelConfig
 from semvis.ppm import read_ppm
 
@@ -68,64 +67,56 @@ class TestTopK:
 class TestHeatmap:
     def test_single_map_with_unit_weight(self):
         maps = RNG.normal(size=(1, 2, 2))
-        hm = heatmap(maps, np.array([1.0]), LocalizationConfig(top_k=1), (32, 32), 16)
-        np.testing.assert_array_equal(hm.values, maps[0])
+        heat = heatmap(maps, np.array([1.0]), LocalizationConfig(top_k=1))
+        np.testing.assert_array_equal(heat, maps[0])
 
     def test_zero_weight_from_signed_selection(self):
         # Top entry is the zero at index 1, so its map contributes nothing.
         maps = RNG.normal(size=(2, 2, 2))
-        hm = heatmap(maps, np.array([-1.0, 0.0]), LocalizationConfig(top_k=1), (32, 32), 16)
-        np.testing.assert_array_equal(hm.values, np.zeros((2, 2)))
+        heat = heatmap(maps, np.array([-1.0, 0.0]), LocalizationConfig(top_k=1))
+        np.testing.assert_array_equal(heat, np.zeros((2, 2)))
 
     def test_full_selection_matches_brute_force(self):
         maps = RNG.normal(size=(7, 3, 3))
         v = RNG.normal(size=7)
-        hm = heatmap(maps, v, LocalizationConfig(top_k=7), (48, 48), 16)
+        heat = heatmap(maps, v, LocalizationConfig(top_k=7))
         want = sum(abs(v[u]) * maps[u] for u in range(7))
-        np.testing.assert_allclose(hm.values, want, rtol=1e-13)
+        np.testing.assert_allclose(heat, want, rtol=1e-13)
 
     def test_full_selection_invariant_to_summation_order(self):
         maps = RNG.normal(size=(5, 2, 2))
         v = RNG.normal(size=5)
-        hm = heatmap(maps, v, LocalizationConfig(top_k=5), (32, 32), 16)
+        heat = heatmap(maps, v, LocalizationConfig(top_k=5))
         order = RNG.permutation(5)
         want = np.zeros((2, 2))
         for u in order:
             want += abs(v[u]) * maps[u]
-        np.testing.assert_allclose(hm.values, want, rtol=1e-12)
+        np.testing.assert_allclose(heat, want, rtol=1e-12)
 
     def test_positive_homogeneity_in_the_weights(self):
         maps = RNG.normal(size=(4, 2, 2))
         v = RNG.normal(size=4)
         cfg = LocalizationConfig(top_k=4)
-        a = heatmap(maps, v, cfg, (32, 32), 16).values
-        b = heatmap(maps, 3.0 * v, cfg, (32, 32), 16).values
+        a = heatmap(maps, v, cfg)
+        b = heatmap(maps, 3.0 * v, cfg)
         np.testing.assert_allclose(b, 3.0 * a, rtol=1e-12)
-
-    def test_geometry_mismatch_rejected(self):
-        from semvis.errors import ShapeError
-        with pytest.raises(ShapeError):
-            Heatmap(np.zeros((2, 2)), (48, 32), 16)
 
 
 class TestPoint:
     def test_hand_example_on_2x2_grid(self):
-        hm = Heatmap(np.array([[0.0, 5.0], [1.0, 2.0]]), (64, 64), 32)
-        assert point(hm) == (48.0, 16.0)
+        assert point(np.array([[0.0, 5.0], [1.0, 2.0]]), (64, 64)) == (48.0, 16.0)
 
     def test_constant_map_takes_the_first_cell(self):
-        hm = Heatmap(np.ones((2, 2)), (64, 64), 32)
-        assert point(hm) == (16.0, 16.0)
+        assert point(np.ones((2, 2)), (64, 64)) == (16.0, 16.0)
 
     def test_matches_exhaustive_scan(self):
         values = RNG.normal(size=(4, 4))
-        hm = Heatmap(values, (64, 64), 16)
         best = None
         for i in range(4):
             for j in range(4):
                 if best is None or values[i, j] > values[best[0], best[1]]:
                     best = (i, j)
-        assert point(hm) == ((best[1] + 0.5) * 16.0, (best[0] + 0.5) * 16.0)
+        assert point(values, (64, 64)) == ((best[1] + 0.5) * 16.0, (best[0] + 0.5) * 16.0)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -133,8 +124,7 @@ class TestPoint:
         rng = np.random.default_rng(seed)
         h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         s = int(rng.integers(1, 20))
-        hm = Heatmap(rng.normal(size=(h, w)), (h * s, w * s), s)
-        px, py = point(hm)
+        px, py = point(rng.normal(size=(h, w)), (h * s, w * s))
         assert 0.0 <= px < w * s and 0.0 <= py < h * s
 
 
@@ -177,25 +167,22 @@ class TestBilinearAndRender:
         np.testing.assert_array_equal(bilinear_resize(arr, *out), _gather_resize(arr, *out))
 
     def test_constant_map_renders_black(self, tmp_path):
-        hm = Heatmap(np.full((2, 2), 3.7), (32, 32), 16)
         image = np.zeros((3, 32, 32), dtype=np.uint8)
-        pgm, _ = render_heatmap(hm, image, str(tmp_path / "out"))
+        pgm, _ = render_heatmap(np.full((2, 2), 3.7), image, str(tmp_path / "out"))
         with open(pgm, "rb") as fh:
             fh.readline(), fh.readline(), fh.readline()
             assert set(fh.read()) == {0}
 
     def test_single_cell_map_gives_uniform_overlay(self, tmp_path):
-        hm = Heatmap(np.array([[4.0]]), (16, 16), 16)
         image = np.full((3, 16, 16), 100, dtype=np.uint8)
-        _, ppm = render_heatmap(hm, image, str(tmp_path / "uni"))
+        _, ppm = render_heatmap(np.array([[4.0]]), image, str(tmp_path / "uni"))
         overlay = read_ppm(ppm)
         assert np.unique(overlay).size == 1  # constant in every channel
 
     def test_peak_cell_renders_brightest(self, tmp_path):
         values = np.array([[0.0, 1.0], [0.3, 0.6]])
-        hm = Heatmap(values, (32, 32), 16)
         image = np.zeros((3, 32, 32), dtype=np.uint8)
-        pgm, ppm = render_heatmap(hm, image, str(tmp_path / "peak"))
+        pgm, ppm = render_heatmap(values, image, str(tmp_path / "peak"))
         with open(pgm, "rb") as fh:
             for _ in range(3):
                 fh.readline()
@@ -223,8 +210,7 @@ class TestPointingPin:
         with no_grad():
             for image, phrase, _ in regions:
                 _, stack = model.encode_image(image)
-                maps = activation_maps(stack, model.params["proj.weight"])
-                hm = heatmap(maps, model.encode_text(phrase), cfg, image.shape[1:],
-                             image.shape[1] // maps.shape[1])
-                digest.update(hm.values.tobytes() + struct.pack("<2d", *point(hm)))
+                maps = activation_maps(stack.data, model.params["proj.weight"].data)
+                heat = heatmap(maps, model.encode_text(phrase).data, cfg)
+                digest.update(heat.tobytes() + struct.pack("<2d", *point(heat, image.shape[1:])))
         assert digest.hexdigest() == GOLDEN_POINTING

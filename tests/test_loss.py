@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import cosine_sim, similarity_matrix, triplet_hinge, triplet_loss
-from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import ContractError
 from semvis.loss import Batch, LossConfig, batch_loss

@@ -279,8 +279,8 @@ class TestTrainEpoch:
         import json
         model, dataset = tiny_setup()
         sched = TrainSchedule(epochs=2, batch_size=4)
-        log = tmp_path / "train.log.jsonl"
-        history = train(model, dataset, sched, seed=1, log_path=log)
+        history = train(model, dataset, sched, seed=1, out=tmp_path / "train.ckpt")
+        log = tmp_path / "train.ckpt.log.jsonl"
         lines = [json.loads(line) for line in log.read_text().splitlines()]
         assert len(lines) == len(history) == 2
         assert set(lines[0]) == {"epoch", "loss", "lr", "trainable"}
