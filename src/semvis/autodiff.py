@@ -340,7 +340,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, weight.shape[0])
-        _accum(x, np.matmul(weight.data.T, g[..., None])[..., 0])
+        if x.requires_grad:   # untracked rows, e.g. a frozen table's, need no product
+            _accum(x, np.matmul(weight.data.T, g[..., None])[..., 0])
         _accum(weight, sum_examples(len(rows), lambda k: np.outer(g2[k], rows[k])))
         _accum(bias, sum_examples(len(rows), lambda k: g2[k]))
 

@@ -87,9 +87,14 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so that exp never overflows for large |x|.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp(min(x, 0)) / (1 + exp(-|x|)), so exp never overflows.  With e = exp(-|x|) the
+    # numerator is max(e, [x >= 0]): 1 for x >= 0, e below 0, and e's NaN for a NaN.
+    e = np.abs(x, out=np.empty(x.shape))
+    np.exp(np.negative(e, out=e), out=e)
+    num = np.greater_equal(x, 0.0, out=np.empty(x.shape))
+    np.maximum(e, num, out=num)
+    num /= np.add(e, 1.0, out=e)
+    return num
 
 
 def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
@@ -113,8 +118,10 @@ def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
     The layer is one graph node: the input transforms of every step of a
     sequence are one matrix product, and only the elementwise carry
     recurrence, vectorized over the batch, loops over time (checked against
-    an op-by-op cell).  A batch runs each sequence's products as a sequence of
-    its own would, and sums the parameter gradients with ``sum_examples``.
+    an op-by-op cell).  The elementwise work runs in place, in the operand
+    order of the formulas, so it equals an allocating kernel byte for byte.
+    A batch runs each sequence's products as a sequence of its own would, and
+    sums the parameter gradients with ``sum_examples``.
     """
     prefix = f"sru.{depth}."
     weight, bias_f, bias_r = (params[prefix + n] for n in ("weight", "bias_f", "bias_r"))
@@ -132,41 +139,49 @@ def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
     cand = wx[..., :hidden]
     gates = _stable_sigmoid(wx[..., hidden:] + np.concatenate([bias_f.data, bias_r.data]))
     f, r = gates[..., :hidden], gates[..., hidden:]
-    kept = (1.0 - f) * cand
-    c = np.empty(f.shape)
-    prev = np.zeros((n_seq, hidden))
-    for t in range(t_len):
-        prev = f[:, t] * prev + kept[:, t]
-        c[:, t] = prev
+    c = np.subtract(1.0, f)
+    c *= cand                                  # (1 - f) * candidate; each step adds f * c_prev
+    step = np.zeros((n_seq, hidden))           # f_t * c_{t-1}, with c_{-1} = 0
+    for f_t, c_t, prev in zip(f.swapaxes(0, 1), c.swapaxes(0, 1), [step, *c.swapaxes(0, 1)]):
+        np.multiply(f_t, prev, out=step)
+        np.add(step, c_t, out=c_t)
     tc = np.tanh(c)
     x_hat = x if proj is None else np.matmul(x, proj.data.T)
-    h = r * tc + (1.0 - r) * x_hat
+    h = r * tc
+    h += (1.0 - r) * x_hat
 
     def backward(g, accumulate):
         g = g.reshape(f.shape)
-        d_tc = g * r
-        d_r = g * (tc - x_hat)
-        d_xh = g * (1.0 - r)
-        d_c = d_tc * (1.0 - tc * tc)
-        carry = np.zeros((n_seq, hidden))
-        for t in range(t_len - 1, -1, -1):   # d_c becomes the total gradient of each c_t
-            d_c[:, t] += carry
-            carry = d_c[:, t] * f[:, t]
-        c_prev = np.concatenate([np.zeros((n_seq, 1, hidden)), c[:, :-1]], axis=1)
-        d_f = d_c * (c_prev - cand)
-        d_cand = d_c * (1.0 - f)
-        d_af = d_f * f * (1.0 - f)
-        d_ar = d_r * r * (1.0 - r)
-        d_wx = np.concatenate([d_cand, d_af, d_ar], axis=2)
+        d_wx = np.empty(wx.shape)              # [d_cand | d_af | d_ar], filled in place
+        d_cand, d_af, d_ar = (d_wx[..., i * hidden:(i + 1) * hidden] for i in range(3))
+        d_c = g * r
+        buf = tc * tc
+        d_c *= np.subtract(1.0, buf, out=buf)
+        carry = np.zeros((n_seq, hidden))      # d_c becomes the total gradient of each c_t
+        for d_t, f_t in zip(d_c.swapaxes(0, 1)[::-1], f.swapaxes(0, 1)[::-1]):
+            np.add(d_t, carry, out=d_t)
+            np.multiply(d_t, f_t, out=carry)
+        np.subtract(c[:, :-1], cand[:, 1:], out=buf[:, 1:])   # c_prev - candidate
+        np.subtract(0.0, cand[:, 0], out=buf[:, 0])            # 0 - x, not -x: signed zeros
+        one_f = np.subtract(1.0, f)
+        np.multiply(d_c, one_f, out=d_cand)
+        np.multiply(d_c, buf, out=d_af)
+        d_af *= f
+        d_af *= one_f
+        d_xh = np.subtract(1.0, r)             # 1 - r, then g * (1 - r)
+        np.multiply(g, np.subtract(tc, x_hat, out=d_ar), out=d_ar)
+        d_ar *= r
+        d_ar *= d_xh
+        np.multiply(g, d_xh, out=d_xh)
         accumulate(weight, ad.sum_examples(n_seq, lambda k: d_wx[k].T @ x[k]))
-        accumulate(bias_f, ad.sum_examples(n_seq, lambda k: d_af[k].sum(axis=0)))
-        accumulate(bias_r, ad.sum_examples(n_seq, lambda k: d_ar[k].sum(axis=0)))
+        accumulate(bias_f, ad.sum_examples(n_seq, d_af.sum(axis=1).__getitem__))
+        accumulate(bias_r, ad.sum_examples(n_seq, d_ar.sum(axis=1).__getitem__))
         d_x = np.matmul(d_wx, weight.data)
         if proj is None:
-            d_x = d_x + d_xh
+            d_x += d_xh
         else:
             accumulate(proj, ad.sum_examples(n_seq, lambda k: d_xh[k].T @ x[k]))
-            d_x = d_x + np.matmul(d_xh, proj.data)
+            d_x += np.matmul(d_xh, proj.data)
         accumulate(x_seq, d_x.reshape(x_seq.data.shape))
 
     parents = [x_seq, weight, bias_f, bias_r]

@@ -382,6 +382,8 @@ def load_checkpoint(path) -> CheckpointBundle:
     try:   # each value is checked as a --config value would be
         cfg, sched = settings_from(ModelConfig, header), settings_from(TrainSchedule, header)
         seed, next_epoch = (coerce_number(k, header[k], minimum=0) for k in ("seed", "next_epoch"))
+        if next_epoch > sched.epochs:   # no run of this schedule gets past its last epoch
+            raise ValueError(f"next_epoch {next_epoch} exceeds the schedule's epochs {sched.epochs}")
         if not (isinstance(header["vocab"], list) and isinstance(header["adam_steps"], dict)):
             raise ValueError("vocab must be a list and adam_steps an object")
         vocab = Vocab(header["vocab"])

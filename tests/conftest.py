@@ -130,6 +130,69 @@ def sru_cell(x_t, c_prev, params, depth=0):
     return h_t, c_t
 
 
+def where_sigmoid(x):
+    """The logistic function as a branch on sign, so exp never overflows: the
+    reference that ``text._stable_sigmoid`` must equal byte for byte."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sru_layer_oracle(x_seq, params, depth=0):
+    """``text.sru_layer`` as it was before its elementwise work ran in place: the
+    where-form sigmoid, a step loop that allocates each carry, and ``d_wx``
+    concatenated from three temporaries.  The kernel must match it byte for byte."""
+    prefix = f"sru.{depth}."
+    weight, bias_f, bias_r = (params[prefix + n] for n in ("weight", "bias_f", "bias_r"))
+    proj = params.get(prefix + "proj")
+    hidden = bias_f.shape[0]
+    *lead, t_len, in_dim = x_seq.data.shape
+    x = x_seq.data.reshape(-1, t_len, in_dim)
+    n_seq = len(x)
+    wx = np.matmul(x, weight.data.T)
+    cand = wx[..., :hidden]
+    gates = where_sigmoid(wx[..., hidden:] + np.concatenate([bias_f.data, bias_r.data]))
+    f, r = gates[..., :hidden], gates[..., hidden:]
+    kept = (1.0 - f) * cand
+    c = np.empty(f.shape)
+    prev = np.zeros((n_seq, hidden))
+    for t in range(t_len):
+        prev = f[:, t] * prev + kept[:, t]
+        c[:, t] = prev
+    tc = np.tanh(c)
+    x_hat = x if proj is None else np.matmul(x, proj.data.T)
+    h = r * tc + (1.0 - r) * x_hat
+
+    def backward(g, accumulate):
+        g = g.reshape(f.shape)
+        d_tc = g * r
+        d_r = g * (tc - x_hat)
+        d_xh = g * (1.0 - r)
+        d_c = d_tc * (1.0 - tc * tc)
+        carry = np.zeros((n_seq, hidden))
+        for t in range(t_len - 1, -1, -1):
+            d_c[:, t] += carry
+            carry = d_c[:, t] * f[:, t]
+        c_prev = np.concatenate([np.zeros((n_seq, 1, hidden)), c[:, :-1]], axis=1)
+        d_f = d_c * (c_prev - cand)
+        d_cand = d_c * (1.0 - f)
+        d_af = d_f * f * (1.0 - f)
+        d_ar = d_r * r * (1.0 - r)
+        d_wx = np.concatenate([d_cand, d_af, d_ar], axis=2)
+        accumulate(weight, ad.sum_examples(n_seq, lambda k: d_wx[k].T @ x[k]))
+        accumulate(bias_f, ad.sum_examples(n_seq, lambda k: d_af[k].sum(axis=0)))
+        accumulate(bias_r, ad.sum_examples(n_seq, lambda k: d_ar[k].sum(axis=0)))
+        d_x = np.matmul(d_wx, weight.data)
+        if proj is None:
+            d_x = d_x + d_xh
+        else:
+            accumulate(proj, ad.sum_examples(n_seq, lambda k: d_xh[k].T @ x[k]))
+            d_x = d_x + np.matmul(d_xh, proj.data)
+        accumulate(x_seq, d_x.reshape(x_seq.data.shape))
+
+    parents = [x_seq, weight, bias_f, bias_r] + ([] if proj is None else [proj])
+    return ad.fused_op(h.reshape(*lead, t_len, hidden), parents, "sru_layer_oracle", backward)
+
+
 # ---------------------------------------------------------------------------
 # reference similarities and single-triplet hinges
 # ---------------------------------------------------------------------------

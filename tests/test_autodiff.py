@@ -633,6 +633,21 @@ class TestBatchedKernels:
         for j, key in enumerate(keys):
             np.testing.assert_array_equal(rows[j], ad.dropout(Tensor(np.ones(40)), 0.5, key).data)
 
+    def test_linear_skips_the_input_gradient_of_untracked_rows(self, monkeypatch):
+        rows = np.random.default_rng(64).normal(size=(4, 3))
+        w = np.random.default_rng(65).normal(size=(4, 5))
+        grads, products = [], []
+        for tracked in (True, False):
+            x, weight, bias = Tensor(rows, requires_grad=tracked), randt(66, 5, 3), randt(67, 5)
+            loss = weighted_sum((ad.linear(x, weight, bias), w))
+            with monkeypatch.context() as m:   # the input gradient is linear's only matmul
+                m.setattr(np, "matmul", lambda *a, _mm=np.matmul: products.append(tracked) or _mm(*a))
+                loss.backward()
+            grads.append((x.grad, weight.grad.tobytes(), bias.grad.tobytes()))
+        assert products == [True]
+        assert grads[0][0] is not None and grads[1][0] is None
+        assert grads[0][1:] == grads[1][1:]
+
     def test_sum_examples_adds_the_last_example_first(self):
         # Rounding tells the orders apart: (-1e16 + 1e16) + 1 is 1, (1 + 1e16) - 1e16 is 0.
         parts = np.array([[1.0], [1e16], [-1e16]])

@@ -518,6 +518,8 @@ MALFORMED = {
                             h["adam_steps"].update({"proj.bias": 1}))),
         "adam.v and adam_steps name different tensors"),
     "lr0 NaN": (_header_edit(lr0=float("nan")), "lr0 must be a finite number"),
+    "next_epoch past epochs": (_header_edit(next_epoch=1),
+                               "next_epoch 1 exceeds the schedule's epochs 0"),
     "hidden_channels string": (_header_edit(hidden_channels="4"), "hidden_channels"),
     "embed_dim true": (_header_edit(embed_dim=True), "embed_dim"),
     "top_k -1": (_header_edit(top_k=-1), "top_k"),

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sru_cell, weighted_sum
+from conftest import sru_cell, sru_layer_oracle, weighted_sum, where_sigmoid
 from semvis import autodiff as ad
 from semvis.autodiff import Tensor
 from semvis.errors import DegenerateInputError
 from semvis.model import ModelConfig, init_params, param_shapes
-from semvis.text import Vocab, encode_text, sru_layer, tokenize
+from semvis.text import Vocab, _stable_sigmoid, encode_text, sru_layer, tokenize
 
 VOCAB = Vocab(["a", "red", "circle", "blue", "square", "the", "is"])
 
@@ -190,6 +190,78 @@ class TestSruLayerFusion:
 
         assert ad.grad_check(f, [x, layer["sru.0.weight"], layer["sru.0.bias_f"],
                                  layer["sru.0.bias_r"]]) < 1e-5
+
+
+def oracle_and_kernel(x, w, make_layer):
+    """[output, x grad, layer grads by name] from ``sru_layer_oracle`` and from
+    ``sru_layer``, each on a fresh layer and the loss sum(out * w)."""
+    results = []
+    for layer_fn in (sru_layer_oracle, sru_layer):
+        layer = make_layer()
+        x_t = Tensor(x, requires_grad=True)
+        out = layer_fn(x_t, layer)
+        weighted_sum((out, w)).backward()
+        results.append([out.data, x_t.grad] + [layer[k].grad for k in sorted(layer)])
+    return results
+
+
+class TestSruLayerBytes:
+    """The in-place kernel against the allocating one it replaced, byte for byte."""
+
+    # hidden 1 leaves the bias sums over T one axis, which numpy adds pairwise from T = 8.
+    @pytest.mark.parametrize("hidden", [1, 5])
+    @pytest.mark.parametrize("with_proj", [False, True])
+    @pytest.mark.parametrize("n", [None, 1, 2, 32])   # None: one (T, in) sequence
+    @pytest.mark.parametrize("t_len", range(1, 10))
+    def test_output_and_gradients_match_the_oracle(self, t_len, n, with_proj, hidden):
+        in_dim = 3 if with_proj else hidden
+        seed = 1000 * t_len + 10 * (n or 0) + 2 * hidden + with_proj
+        rng = np.random.default_rng(seed)
+        lead = () if n is None else (n,)
+        x = rng.normal(size=(*lead, t_len, in_dim))
+        w = rng.normal(size=(*lead, t_len, hidden))
+        far = rng.uniform(-800.0, 800.0, size=2)   # gate pre-activations up to +-800
+
+        def make_layer():
+            layer = random_layer(hidden, in_dim, seed)
+            if hidden > 1:   # beside units whose gates are not saturated
+                layer["sru.0.bias_f"].data[:3] = (800.0, -800.0, far[0])
+                layer["sru.0.bias_r"].data[:3] = (-800.0, 800.0, far[1])
+            return layer
+
+        want, got = oracle_and_kernel(x, w, make_layer)
+        assert len(got) == (6 if with_proj else 5)
+        for a, b in zip(want, got):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf])
+    def test_a_non_finite_input_gives_the_oracles_bytes(self, bad):
+        # NaN payloads and sign bits follow operand order, so this pins that too.
+        x = np.random.default_rng(7).normal(size=(2, 6, 3))
+        x[0, 2, 1] = x[1, 5, 0] = bad
+        with np.errstate(invalid="ignore"):
+            want, got = oracle_and_kernel(x, np.ones((2, 6, 4)), lambda: random_layer(4, 3, 8))
+        for a, b in zip(want, got):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestStableSigmoid:
+    SPECIAL = np.array([0.0, 5e-324, 1e-300, 36.7, 709.8, 745.0, 800.0, np.inf])
+
+    def test_bytes_match_the_where_form(self):
+        for v in np.concatenate([self.SPECIAL, -self.SPECIAL]):   # -0.0 included
+            assert _stable_sigmoid(np.array([v])).tobytes() == where_sigmoid(np.array([v])).tobytes()
+        x = np.concatenate([self.SPECIAL, -self.SPECIAL,
+                            np.random.default_rng(21).normal(size=10 ** 6) * 40.0])
+        assert _stable_sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 1001])
+    def test_nan_stays_nan_with_the_where_forms_sign_bit(self, size):
+        x = np.full(size, np.nan)
+        x[1::2] = -np.nan
+        out = _stable_sigmoid(x)
+        assert np.isnan(out).all() and np.signbit(out).all()
+        assert out.tobytes() == where_sigmoid(x).tobytes()
 
 
 class TestEncodeText:
