@@ -118,8 +118,9 @@ def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
     The layer is one graph node: the input transforms of every step of a
     sequence are one matrix product, and only the elementwise carry
     recurrence, vectorized over the batch, loops over time (checked against
-    an op-by-op cell).  The elementwise work runs in place, in the operand
-    order of the formulas, so it equals an allocating kernel byte for byte.
+    an op-by-op cell).  The forward's elementwise work runs in place, in the
+    operand order of the formulas, so it equals an allocating kernel byte for
+    byte.
     A batch runs each sequence's products as a sequence of its own would, and
     sums the parameter gradients with ``sum_examples``.
     """
@@ -147,41 +148,33 @@ def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
         np.add(step, c_t, out=c_t)
     tc = np.tanh(c)
     x_hat = x if proj is None else np.matmul(x, proj.data.T)
-    h = r * tc
-    h += (1.0 - r) * x_hat
+    h = r * tc + (1.0 - r) * x_hat
 
     def backward(g, accumulate):
         g = g.reshape(f.shape)
-        d_wx = np.empty(wx.shape)              # [d_cand | d_af | d_ar], filled in place
-        d_cand, d_af, d_ar = (d_wx[..., i * hidden:(i + 1) * hidden] for i in range(3))
-        d_c = g * r
-        buf = tc * tc
-        d_c *= np.subtract(1.0, buf, out=buf)
-        carry = np.zeros((n_seq, hidden))      # d_c becomes the total gradient of each c_t
-        for d_t, f_t in zip(d_c.swapaxes(0, 1)[::-1], f.swapaxes(0, 1)[::-1]):
-            np.add(d_t, carry, out=d_t)
-            np.multiply(d_t, f_t, out=carry)
-        np.subtract(c[:, :-1], cand[:, 1:], out=buf[:, 1:])   # c_prev - candidate
-        np.subtract(0.0, cand[:, 0], out=buf[:, 0])            # 0 - x, not -x: signed zeros
-        one_f = np.subtract(1.0, f)
-        np.multiply(d_c, one_f, out=d_cand)
-        np.multiply(d_c, buf, out=d_af)
-        d_af *= f
-        d_af *= one_f
-        d_xh = np.subtract(1.0, r)             # 1 - r, then g * (1 - r)
-        np.multiply(g, np.subtract(tc, x_hat, out=d_ar), out=d_ar)
-        d_ar *= r
-        d_ar *= d_xh
-        np.multiply(g, d_xh, out=d_xh)
+        d_tc = g * r
+        d_r = g * (tc - x_hat)
+        d_xh = g * (1.0 - r)
+        d_c = d_tc * (1.0 - tc * tc)
+        carry = np.zeros((n_seq, hidden))
+        for t in range(t_len - 1, -1, -1):   # d_c becomes the total gradient of each c_t
+            d_c[:, t] += carry
+            carry = d_c[:, t] * f[:, t]
+        c_prev = np.concatenate([np.zeros((n_seq, 1, hidden)), c[:, :-1]], axis=1)
+        d_f = d_c * (c_prev - cand)
+        d_cand = d_c * (1.0 - f)
+        d_af = d_f * f * (1.0 - f)
+        d_ar = d_r * r * (1.0 - r)
+        d_wx = np.concatenate([d_cand, d_af, d_ar], axis=2)
         accumulate(weight, ad.sum_examples(n_seq, lambda k: d_wx[k].T @ x[k]))
-        accumulate(bias_f, ad.sum_examples(n_seq, d_af.sum(axis=1).__getitem__))
-        accumulate(bias_r, ad.sum_examples(n_seq, d_ar.sum(axis=1).__getitem__))
+        accumulate(bias_f, ad.sum_examples(n_seq, lambda k: d_af[k].sum(axis=0)))
+        accumulate(bias_r, ad.sum_examples(n_seq, lambda k: d_ar[k].sum(axis=0)))
         d_x = np.matmul(d_wx, weight.data)
         if proj is None:
-            d_x += d_xh
+            d_x = d_x + d_xh
         else:
             accumulate(proj, ad.sum_examples(n_seq, lambda k: d_xh[k].T @ x[k]))
-            d_x += np.matmul(d_xh, proj.data)
+            d_x = d_x + np.matmul(d_xh, proj.data)
         accumulate(x_seq, d_x.reshape(x_seq.data.shape))
 
     parents = [x_seq, weight, bias_f, bias_r]

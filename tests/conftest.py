@@ -138,9 +138,9 @@ def where_sigmoid(x):
 
 
 def sru_layer_oracle(x_seq, params, depth=0):
-    """``text.sru_layer`` as it was before its elementwise work ran in place: the
-    where-form sigmoid, a step loop that allocates each carry, and ``d_wx``
-    concatenated from three temporaries.  The kernel must match it byte for byte."""
+    """``text.sru_layer`` as it was before its forward ran in place: the where-form
+    sigmoid and a step loop that allocates each carry; ``d_wx`` is concatenated
+    from three temporaries.  The kernel must match it byte for byte."""
     prefix = f"sru.{depth}."
     weight, bias_f, bias_r = (params[prefix + n] for n in ("weight", "bias_f", "bias_r"))
     proj = params.get(prefix + "proj")
