@@ -33,7 +33,10 @@ tables are read-only, and the helper serves one call at a time while the
 others run on their own threads) and may run in parallel threads.
 
 Dropout takes an explicit seed (an int or a tuple of ints), so a forward
-pass is reproducible bit-for-bit from the seed alone.
+pass is reproducible bit-for-bit from the seed alone.  A batch's row keys
+are hashed together: one vectorized pass of numpy's ``SeedSequence`` hash
+gives every row's PCG64 seed words, and each row draws the mask that
+``np.random.default_rng(key)`` would.
 """
 
 from __future__ import annotations
@@ -249,13 +252,86 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     return _result(np.concatenate(blocks), rows, "stack_rows", backward)
 
 
+def _key_words(key) -> list[int]:
+    """A seed key's little-endian 32-bit words, as ``np.random.SeedSequence`` reads them."""
+    if isinstance(key, (int, np.integer)):
+        if key < 0:
+            raise ValueError("expected non-negative integer")
+        return [int(key) >> s & 0xFFFFFFFF for s in range(0, max(int(key).bit_length(), 1), 32)]
+    if isinstance(key, (str, float, np.inexact)):
+        raise (ValueError if isinstance(key, str) else TypeError)(f"seed must be integer: {key!r}")
+    return [w for e in key for w in ([e] if type(e) is int and 0 <= e < 1 << 32 else _key_words(e))]
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """(n + 1, 1) uint32: ``init * mult**k`` mod 2**32 for k = 0..n."""
+    return np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(n + 1)],
+                    np.uint32)[:, None]
+
+
+def _hashmix(x: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (x ^ xor) * mult
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * np.uint32(0xca01f9dd) - y * np.uint32(0x4973f715)
+    return v ^ (v >> np.uint32(16))
+
+
+_A = _hash_consts(0x43b0d7e5, 0x931e8875, 16)
+# The cross-mix hashes pool word s by calls 4 + 3s .. 4 + 3s + 2, one for each
+# other word d in order; row s's constants are placeholders, as word s stays.
+_CROSS = [(_A[c], _A[c + 1]) for c in (np.array(
+    [4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)]) for s in range(4))]
+_OUT = _hash_consts(0x8b51f9dd, 0x58f38ded, 8)
+
+
+def _seed_words(keys: Sequence) -> np.ndarray:
+    """(R, 4) uint64: row i is ``np.random.SeedSequence(keys[i]).generate_state(4, np.uint64)``.
+
+    O'Neill's ``seed_seq_fe`` hash, run on all keys of one word count at once.
+    Its constants do not depend on the data, so each step is one array operation.
+    """
+    entropy = [_key_words(key) for key in keys]
+    out = np.empty((len(keys), 4), np.uint64)
+    for n in set(map(len, entropy)):
+        rows = [i for i, words in enumerate(entropy) if len(words) == n]
+        words = np.zeros((max(n, 4), len(rows)), np.uint32)
+        words[:n] = np.array([entropy[i] for i in rows], np.uint32).reshape(len(rows), n).T
+        a = _hash_consts(0x43b0d7e5, 0x931e8875, 16 + 4 * max(n - 4, 0))
+        pool = _hashmix(words[:4], a[0:4], a[1:5])
+        for src, (xor, mult) in enumerate(_CROSS):
+            pool, pool[src] = _mix(pool, _hashmix(pool[src], xor, mult)), pool[src]   # word s stays
+        for w in range(4, n):   # each further word is mixed into every pool word
+            pool = _mix(pool, _hashmix(words[w], a[4 * w:4 * w + 4], a[4 * w + 1:4 * w + 5]))
+        state = _hashmix(pool, _OUT[:8].reshape(2, 4, 1), _OUT[1:].reshape(2, 4, 1))
+        state = state.reshape(8, len(rows)).astype(np.uint64)
+        out[rows] = (state[0::2] | state[1::2] << np.uint64(32)).T   # little-endian pairs
+    return out
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Seed words computed ahead, handed to PCG64 as its seed sequence (it asks for 4 uint64)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def dropout(a: Tensor, p: float, seed, training: bool = True) -> Tensor:
     """Zero entries independently with probability ``p``, scaling survivors by 1/(1-p).
 
     Returns ``a`` itself when ``training`` is false or ``p == 0``.  The mask
     is a pure function of ``seed`` (an int or tuple of ints), so repeated
     calls with the same seed reproduce the same mask bit-for-bit.  A list of
-    seeds, one per row of ``a``, draws each row's mask as it would alone.
+    seeds, one per row of ``a``, draws each row's mask as it would alone,
+    ``np.random.default_rng(seed[i]).random(a.shape[1:])``: the rows' seed
+    hashes run as one vectorized pass (``_seed_words``), and each row's PCG64
+    starts from its precomputed words.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
@@ -265,7 +341,9 @@ def dropout(a: Tensor, p: float, seed, training: bool = True) -> Tensor:
     if isinstance(seed, list):
         if len(seed) != a.shape[0]:
             raise ShapeError(f"dropout: {len(seed)} row seeds for shape {a.shape}")
-        draws = np.stack([np.random.default_rng(s).random(a.shape[1:]) for s in seed])
+        draws = np.empty(a.shape)
+        for i, words in enumerate(_seed_words(seed)):
+            np.random.Generator(np.random.PCG64(_SeedWords(words))).random(out=draws[i, ...])
     else:
         draws = np.random.default_rng(seed).random(a.shape)
     keep = draws >= p

@@ -103,6 +103,8 @@ def _encode_corpus(model: Model, dataset: Dataset):
 def cmd_generate_data(args, parser) -> int:
     if args.scenes < 0:
         parser.error(f"--scenes must be >= 0, got {args.scenes}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     lo, hi = args.objects
     cfg = SceneConfig(min_objects=lo, max_objects=hi)
     dataset = generate_dataset(args.scenes, args.seed, cfg)

@@ -168,6 +168,7 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
                 table = stack_rows([model.pool_images(
                     [dataset.scenes[i].image for i in appearing[lo:lo + sched.batch_size]])
                     for lo in range(0, len(appearing), sched.batch_size)])
+        pools = {i: _training_captions(dataset.scenes[i]) for i in appearing.tolist()}
         losses = []
         for step, start in enumerate(range(0, len(order), sched.batch_size)):
             idxs = order[start:start + sched.batch_size]
@@ -183,7 +184,7 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
                 # the margin.  So per appearance we sample among the scene's most
                 # descriptive captions (the conjunctions, when present) and redraw
                 # on a string collision within the batch.
-                pool = _training_captions(scene)
+                pool = pools[int(scene_idx)]
                 for _ in range(8):
                     cap = pool[int(rng.integers(0, len(pool)))]
                     if cap not in taken:

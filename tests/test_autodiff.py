@@ -633,6 +633,43 @@ class TestBatchedKernels:
         for j, key in enumerate(keys):
             np.testing.assert_array_equal(rows[j], ad.dropout(Tensor(np.ones(40)), 0.5, key).data)
 
+    # Row keys of 0 to 9 little-endian 32-bit words: shorter and longer than the
+    # seed hash's 4-word pool, with bools, numpy integers and multi-word entries.
+    SEED_KEYS = [(), 0, 2**32, (2**64 + 1,), (True, np.int64(3), 0), (1, 2, 3, 4),
+                 (2**32 + 7, 0, 5, 31), (2**64 + 1, 2**32, 9, 1), (2**64 + 1, 2**64 + 1, 5, 6),
+                 (2**64 + 1, 2**32, 9, 1, 2, 3), (5, 2**64 + 1, 2**32 - 1, 1)]
+
+    def test_seed_words_match_numpys_seed_sequence(self):
+        counts = [len(ad._key_words(key)) for key in self.SEED_KEYS]
+        assert sorted(set(counts)) == list(range(10))
+        together = ad._seed_words(self.SEED_KEYS)   # one list of mixed word counts
+        for key, words in zip(self.SEED_KEYS, together):
+            want = np.random.SeedSequence(key).generate_state(4, np.uint64)
+            assert words.dtype == np.uint64
+            np.testing.assert_array_equal(words, want)
+            np.testing.assert_array_equal(ad._seed_words([key])[0], want)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 32])
+    @pytest.mark.parametrize("shape", [(64,), (7, 64)])
+    def test_row_masks_match_default_rng_byte_for_byte(self, n, shape):
+        keys = [(2**32 + 7, 1, 4, j, 2) if j % 3 else self.SEED_KEYS[j % len(self.SEED_KEYS)]
+                for j in range(n)]
+        rows = ad.dropout(Tensor(np.ones((n, *shape))), 0.5, keys).data
+        for key, words, row in zip(keys, ad._seed_words(keys), rows):
+            draws = np.random.default_rng(key).random(shape)
+            drawn = np.random.Generator(np.random.PCG64(ad._SeedWords(words))).random(shape)
+            assert drawn.tobytes() == draws.tobytes()
+            assert row.tobytes() == ((draws >= 0.5) * 2.0).tobytes()
+
+    @pytest.mark.parametrize("entry, error", [(-1, ValueError), (1.5, TypeError),
+                                              ("a", ValueError)])
+    def test_hostile_key_entries_raise_numpys_exception_types(self, entry, error):
+        key = (1, 2, entry)
+        with pytest.raises(error):
+            np.random.default_rng(key)
+        with pytest.raises(error):
+            ad.dropout(Tensor(np.ones((2, 3))), 0.5, [(1, 2, 3), key])
+
     def test_linear_skips_the_input_gradient_of_untracked_rows(self, monkeypatch):
         rows = np.random.default_rng(64).normal(size=(4, 3))
         w = np.random.default_rng(65).normal(size=(4, 5))

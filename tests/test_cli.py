@@ -116,12 +116,14 @@ class TestGenerateData:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flags", [["--scenes", "-3"], ["--scenes", "5", "--objects", "5"],
-                                       ["--scenes", "5", "--objects", "2..5"]])
+                                       ["--scenes", "5", "--objects", "2..5"],
+                                       ["--scenes", "5", "--seed", "-1"]])
     def test_counts_it_cannot_honour_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "d"
         with pytest.raises(SystemExit) as exc:
             main(["generate-data", "--out", str(out), *flags])
         assert exc.value.code == 2
+        assert flags[-2] in capsys.readouterr().err   # the message names the flag
         assert not out.exists()
 
 

@@ -8,7 +8,10 @@ reached when reachable code refers to it: a bare name resolves through the
 file's own definitions and imports, ``module.name`` through the module, and
 an attribute of any other object reaches every method and function of that
 name (the benchmark reaches modules through a dict, so this side stays
-generous).  Importing or re-exporting a name does not reach it.
+generous).  Reaching a class reaches its private and special methods, and
+all its methods when it subclasses a class from outside the package: that
+outside code calls the interface the class implements.  Importing or
+re-exporting a name does not reach it.
 
 A second pass fails on any name that a file in ``src/``, ``tests/`` or
 ``demos/`` imports and never reads.
@@ -96,6 +99,16 @@ class _Reach:
             return self.resolve(*binding, depth + 1)
         return None
 
+    def outside(self, base: ast.expr, f: _File) -> bool:
+        """Whether a class base comes from outside the package (a builtin or a
+        non-semvis module's class) rather than from a semvis module."""
+        root = base
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if root is base:
+            return isinstance(base, ast.Name) and self.resolve(f.module, base.id) is None
+        return isinstance(root, ast.Name) and f.modules.get(root.id, "") is None
+
     def reach(self, key) -> None:
         if key is not None and key in self.defs and key not in self.reached:
             self.reached.add(key)
@@ -155,6 +168,12 @@ class _Reach:
                 # Reaching a class runs its private and special methods implicitly.
                 self.visit([item for item in node.body if isinstance(item, ast.FunctionDef)
                             and item.name.startswith("_")], f)
+                if any(self.outside(base, f) for base in node.bases):
+                    # It implements an interface from outside the package (numpy's
+                    # ISeedSequence, say), whose code calls its public methods.
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            self.reach((key[0], node.name, item.name))
             else:
                 self.visit(node.body, f)
         return set(self.defs) - self.reached

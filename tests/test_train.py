@@ -213,17 +213,22 @@ class TestTrainEpoch:
         for name, p in batched.params.items():
             np.testing.assert_array_equal(p.data, oracle.params[name].data)
 
-    @pytest.mark.parametrize("pooling", ["max_min", "mean"])
-    def test_batched_epochs_match_the_per_example_oracle(self, pooling):
+    @pytest.mark.parametrize("pooling, seed", [
+        pytest.param(pooling, seed, id=pooling + suffix)
+        for seed, suffix in [(5, ""), (2**32 + 7, "-two-word-seed")]
+        for pooling in ["max_min", "mean"]])
+    def test_batched_epochs_match_the_per_example_oracle(self, pooling, seed):
         """One graph per batch against one graph per example, through a frozen
-        and an unfrozen epoch, with dropout at both sites: bit for bit."""
+        and an unfrozen epoch, with dropout at both sites: bit for bit.  The
+        oracle seeds each example's dropout alone, so seed 2**32 + 7 pins the
+        batched masks of two-word seeds."""
         sched = TrainSchedule(epochs=2, batch_size=8, freeze_epochs=1)
         (batched, dataset), (oracle, _) = (tiny_setup(sru_layers=2, pooling=pooling)
                                            for _ in range(2))
         states = AdamState(), AdamState()
         for epoch in range(2):
-            got = train_epoch(batched, dataset, sched, states[0], epoch, seed=5)
-            want = per_example_train_epoch(oracle, dataset, sched, states[1], epoch, seed=5)
+            got = train_epoch(batched, dataset, sched, states[0], epoch, seed=seed)
+            want = per_example_train_epoch(oracle, dataset, sched, states[1], epoch, seed=seed)
             assert got == want
         for name, p in batched.params.items():
             np.testing.assert_array_equal(p.data, oracle.params[name].data)
