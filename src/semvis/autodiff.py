@@ -633,10 +633,12 @@ def _gather(images: np.ndarray, index: np.ndarray, flat: np.ndarray, cols: np.nd
 def _conv_scratch(images: np.ndarray, index: np.ndarray, chunk: int,
                   threads: int) -> tuple[np.ndarray, np.ndarray]:
     """Per thread, ``_gather``'s ``flat`` and ``cols`` for a chunk of images; each pass
-    allocates its own on the calling thread, so none outlives it."""
+    allocates its own on the calling thread, so none outlives it.  Only the last column
+    of ``flat``, the zero that padding reads, is filled: ``_gather`` writes the rest."""
     cin, _, h, w = images.shape
-    return (np.zeros((threads, chunk, cin * h * w + 1)),
-            np.empty((threads, chunk, *index.shape)))
+    flat = np.empty((threads, chunk, cin * h * w + 1))
+    flat[..., -1] = 0.0
+    return flat, np.empty((threads, chunk, *index.shape))
 
 
 def _run_items(n: int, item: Callable[[int, int], None], fold: Callable[[int], None] | None,

@@ -149,6 +149,8 @@ class Model:
         self.cfg = cfg
         self.vocab = vocab
         self.params = params
+        # (key, pooled rows) of train_epoch's last frozen epoch; checkpoints do not save it.
+        self._pooled_table = None
 
     @classmethod
     def initialize(cls, cfg: ModelConfig, vocab: Vocab, seed: int) -> "Model":

@@ -11,7 +11,10 @@ tracked during the epoch (``train_epoch`` clears its ``requires_grad`` and
 restores it afterwards), so the graph records no op whose inputs are all
 frozen and back-propagation stops at ``proj.*``.  A frozen epoch encodes
 each image once, up to its pooled vector, and every batch projects those
-rows instead of running the convolutions again.  The
+rows instead of running the convolutions again.  The model keeps that table,
+and a later frozen epoch reuses it while the pooling mode, the block count,
+the ``backbone.*`` and ``adapt.*`` tensors and the images are byte-equal to
+what built it, so only the first frozen epoch runs the convolutions.  The
 learning rate starts at ``lr0`` and halves every epoch until
 ``halving_until_epoch``, then stays fixed.  All randomness (shuffling,
 caption sampling, dropout) is derived from (seed, epoch) keys, so a run is
@@ -53,8 +56,10 @@ _EPOCH_SALT = 11
 CHECKPOINT_MAGIC = b"SVEC"
 CHECKPOINT_VERSION = 2
 
-# Parameter-name prefixes that train from epoch zero.
+# Parameter-name prefixes that train from epoch zero, and those of the image
+# pipeline up to the pooled vector, which join after ``freeze_epochs``.
 EARLY_TRAINABLE = ("sru.", "word.", "proj.")
+IMAGE_PIPELINE = ("backbone.", "adapt.")
 
 
 @dataclass
@@ -140,7 +145,10 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
     ``backbone.*`` and ``adapt.*`` are frozen a scene's pooled row is fixed, so
     each appearing scene is encoded once per epoch, untracked and a batch of
     images at a time, and a batch projects the rows of its scenes; otherwise
-    a batch encodes its own images, tracked.
+    a batch encodes its own images, tracked.  That table stays on the model
+    (``Model._pooled_table``) beside byte copies of all it was built from, and
+    the next frozen epoch reuses it when they are unchanged, whatever the
+    batch size; any change rebuilds it.
     """
     if not dataset.scenes:
         raise ContractError("cannot train on an empty dataset")
@@ -163,11 +171,20 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
         p.requires_grad = False
     try:
         appearing, table = np.unique(order), None
-        if not any(n.startswith(("backbone.", "adapt.")) for n in names):
-            with no_grad():
-                table = stack_rows([model.pool_images(
-                    [dataset.scenes[i].image for i in appearing[lo:lo + sched.batch_size]])
-                    for lo in range(0, len(appearing), sched.batch_size)])
+        if not any(n.startswith(IMAGE_PIPELINE) for n in names):
+            images = [dataset.scenes[i].image for i in appearing]
+            # Everything a pooled row reads, as byte copies: a key equal to the last
+            # frozen epoch's reuses its table, which a rebuild would reproduce bit for bit.
+            key = (model.cfg.pooling, len(model.cfg.hidden_channels),
+                   [(n, p.data.shape, p.data.dtype.str, p.data.tobytes())
+                    for n, p in model.params.items() if n.startswith(IMAGE_PIPELINE)],
+                   [(a.shape, a.dtype.str, a.tobytes()) for a in images])
+            if model._pooled_table is None or model._pooled_table[0] != key:
+                with no_grad():
+                    model._pooled_table = key, stack_rows([
+                        model.pool_images(images[lo:lo + sched.batch_size])
+                        for lo in range(0, len(images), sched.batch_size)])
+            table = model._pooled_table[1]
         pools = {i: _training_captions(dataset.scenes[i]) for i in appearing.tolist()}
         losses = []
         for step, start in enumerate(range(0, len(order), sched.batch_size)):

@@ -6,6 +6,7 @@ import os
 import stat
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,20 @@ class TestSchedule:
         assert trainable_set(2, sched, model.params) == sorted(model.params)
 
 
+@pytest.fixture
+def backbone_rows(monkeypatch):
+    """How many images each backbone call encodes, one entry per call."""
+    rows = []
+    real_backbone = visual.backbone_forward
+
+    def counting_backbone(image, params, blocks=4):
+        rows.append(1 if image.data.ndim == 3 else image.data.shape[1])
+        return real_backbone(image, params, blocks)
+
+    monkeypatch.setattr(visual, "backbone_forward", counting_backbone)
+    return rows
+
+
 class TestTrainEpoch:
     def test_zero_lr_epoch_keeps_parameters(self):
         model, dataset = tiny_setup()
@@ -178,40 +193,85 @@ class TestTrainEpoch:
             assert not model.params["backbone.0.kernel"].requires_grad
             raise RuntimeError("encode failed")
 
+        # A fresh model: the first one kept its pooled table and would not rebuild it.
         monkeypatch.setattr(visual, "backbone_forward", failing_backbone)
+        model, dataset = tiny_setup()
         with pytest.raises(RuntimeError, match="encode failed"):
             train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
         assert all(p.requires_grad for p in model.params.values())
+        assert model._pooled_table is None   # a failed build keeps nothing
 
-    def test_a_frozen_epoch_encodes_each_scene_once(self, monkeypatch):
-        rows = []
-        real_backbone = visual.backbone_forward
-
-        def counting_backbone(image, params, blocks=4):
-            rows.append(1 if image.data.ndim == 3 else image.data.shape[1])
-            return real_backbone(image, params, blocks)
-
-        monkeypatch.setattr(visual, "backbone_forward", counting_backbone)
+    def test_a_frozen_epoch_encodes_each_scene_once(self, backbone_rows):
         model, dataset = tiny_setup()
         sched = TrainSchedule(epochs=2, batch_size=4, freeze_epochs=1)
         train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
-        assert sum(rows) == len(dataset.scenes)
-        rows.clear()
+        assert sum(backbone_rows) == len(dataset.scenes)
+        backbone_rows.clear()
         train_epoch(model, dataset, sched, AdamState(), epoch=1, seed=1)   # the control
-        assert sum(rows) == sum(len(s.captions) for s in dataset.scenes)
+        assert sum(backbone_rows) == sum(len(s.captions) for s in dataset.scenes)
+
+    def test_a_later_frozen_epoch_reuses_the_pooled_table(self, backbone_rows):
+        """The table is rebuilt when a frozen tensor, a pixel, the pooling mode or
+        an unfrozen epoch changes what it was built from, and only then."""
+        model, dataset = tiny_setup()
+        sched = TrainSchedule(epochs=3, batch_size=4, freeze_epochs=2)
+
+        def rows_encoded(epoch=0, batch_size=4):
+            backbone_rows.clear()
+            train_epoch(model, dataset, replace(sched, batch_size=batch_size), AdamState(),
+                        epoch, seed=1)
+            return sum(backbone_rows)
+
+        everything = len(dataset.scenes)
+        assert rows_encoded() == everything
+        assert rows_encoded(epoch=1) == 0
+        assert rows_encoded(batch_size=5) == 0
+        kernel = model.params["backbone.0.kernel"]
+        kernel.data = kernel.data.copy()   # a new array of the same bytes
+        assert rows_encoded() == 0
+
+        edits = {   # each in place, as Adam and a caller's assignment to an entry are
+            "backbone": lambda: np.put(model.params["backbone.2.kernel"].data, 40, 0.5),
+            "adapt": lambda: np.put(model.params["adapt.bias"].data, 3, 0.25),
+            "pixel": lambda: np.put(dataset.scenes[5].image, 1000, 77),
+            "pooling": lambda: setattr(model.cfg, "pooling", visual.POOL_MEAN),
+            "unfrozen epoch": lambda: rows_encoded(epoch=2),
+        }
+        for what, edit in edits.items():
+            edit()
+            assert rows_encoded() == everything, what
+            assert rows_encoded() == 0, what
 
     def test_frozen_epoch_over_two_image_sizes_matches_the_oracle(self):
         """Scenes of 64x64 and 48x48 share batches; the projection's gradient sums
-        over the rows in input order, as one graph per example does."""
-        sched = TrainSchedule(epochs=1, batch_size=8, freeze_epochs=1)
+        over the rows in input order, as one graph per example does.  The second
+        epoch reuses the first one's table."""
+        sched = TrainSchedule(epochs=2, batch_size=8, freeze_epochs=2)
         (batched, dataset), (oracle, _) = (tiny_setup(sru_layers=2) for _ in range(2))
         for scene in dataset.scenes[::2]:
             scene.image = scene.image[:, 8:56, 8:56].copy()
-        got = train_epoch(batched, dataset, sched, AdamState(), 0, seed=5)
-        want = per_example_train_epoch(oracle, dataset, sched, AdamState(), 0, seed=5)
-        assert got == want
-        for name, p in batched.params.items():
-            np.testing.assert_array_equal(p.data, oracle.params[name].data)
+        states = AdamState(), AdamState()
+        for epoch in range(2):
+            got = train_epoch(batched, dataset, sched, states[0], epoch, seed=5)
+            want = per_example_train_epoch(oracle, dataset, sched, states[1], epoch, seed=5)
+            assert got == want
+            for name, p in batched.params.items():
+                np.testing.assert_array_equal(p.data, oracle.params[name].data)
+
+    @pytest.mark.parametrize("pooling", ["max_min", "mean"])
+    def test_frozen_unfrozen_frozen_epochs_match_the_per_example_oracle(self, pooling):
+        """Two frozen epochs (the second reuses the pooled table), an unfrozen one,
+        then a frozen one again (the table is rebuilt): bit for bit at every step."""
+        sched = TrainSchedule(epochs=3, batch_size=8, freeze_epochs=2)
+        (batched, dataset), (oracle, _) = (tiny_setup(sru_layers=2, pooling=pooling)
+                                           for _ in range(2))
+        states = AdamState(), AdamState()
+        for epoch in (0, 1, 2, 0):
+            got = train_epoch(batched, dataset, sched, states[0], epoch, seed=5)
+            want = per_example_train_epoch(oracle, dataset, sched, states[1], epoch, seed=5)
+            assert got == want, epoch
+            for name, p in batched.params.items():
+                np.testing.assert_array_equal(p.data, oracle.params[name].data)
 
     @pytest.mark.parametrize("pooling, seed", [
         pytest.param(pooling, seed, id=pooling + suffix)
