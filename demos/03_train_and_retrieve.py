@@ -5,8 +5,7 @@ Uses a reduced configuration so the whole script runs in about a minute.
 Run:  python3 demos/03_train_and_retrieve.py
 """
 
-import numpy as np
-
+from semvis.autodiff import no_grad
 from semvis.data import generate_dataset
 from semvis.evaluate import eval_retrieval
 from semvis.model import Model, ModelConfig
@@ -14,16 +13,13 @@ from semvis.train import AdamState, TrainSchedule, train
 
 
 def retrieval_r1(model, dataset):
-    images, captions, owners = [], [], []
-    for i, scene in enumerate(dataset.scenes):
-        x, _ = model.encode_image(scene.image)
-        images.append(x.data)
-        for cap in scene.captions:
-            captions.append(model.encode_text(cap).data)
-            owners.append(i)
-    sim = np.stack(images) @ np.stack(captions).T
-    cap_report, img_report = eval_retrieval(sim, owners)
-    return cap_report, img_report
+    """Both retrieval reports: every image and every caption embedded as one batch."""
+    with no_grad():
+        images = model.encode_images([scene.image for scene in dataset.scenes]).data
+        captions = model.encode_texts([cap for scene in dataset.scenes
+                                       for cap in scene.captions]).data
+    owners = [i for i, scene in enumerate(dataset.scenes) for _ in scene.captions]
+    return eval_retrieval(images @ captions.T, owners)
 
 
 train_set = generate_dataset(120, seed=1)

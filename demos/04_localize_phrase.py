@@ -9,6 +9,7 @@ Run:  python3 demos/04_localize_phrase.py [out_prefix]
 
 import sys
 
+from semvis.autodiff import no_grad
 from semvis.data import generate_dataset
 from semvis.localize import LocalizationConfig, activation_maps, heatmap, point, render_heatmap
 from semvis.model import Model, ModelConfig
@@ -24,12 +25,15 @@ print("objects in the probe scene:")
 for obj in scene.objects:
     print(f"  {obj.phrase:20s} bbox {obj.bbox}")
 
-_, stack = model.encode_image(scene.image)
-maps = activation_maps(stack.data, model.params["proj.weight"].data)
+# The image and the phrases each encode as one batch; the image is a batch of one.
+with no_grad():
+    _, stack = model.pooled_features([scene.image])
+    embeddings = model.encode_texts([phrase for phrase, _ in scene.regions]).data
+maps = activation_maps(stack.data, model.params["proj.weight"].data)[0]
 loc_cfg = LocalizationConfig(top_k=model.cfg.effective_top_k())
 
-for phrase, bbox in scene.regions:
-    heat = heatmap(maps, model.encode_text(phrase).data, loc_cfg)
+for (phrase, bbox), embedding in zip(scene.regions, embeddings):
+    heat = heatmap(maps, embedding, loc_cfg)
     px, py = point(heat, scene.image.shape[1:])
     x, y, w, h = bbox
     hit = x <= px < x + w and y <= py < y + h
@@ -37,6 +41,6 @@ for phrase, bbox in scene.regions:
 
 if len(sys.argv) > 1:
     phrase = scene.regions[0][0]
-    heat = heatmap(maps, model.encode_text(phrase).data, loc_cfg)
+    heat = heatmap(maps, embeddings[0], loc_cfg)
     paths = render_heatmap(heat, scene.image, sys.argv[1])
     print(f"wrote {paths[0]} and {paths[1]} for {phrase!r}")

@@ -7,17 +7,17 @@ gathers, and ``fused_op`` for hand-written kernels (the recurrent layer and
 the loss).  All arithmetic is float64 so that finite-difference gradient
 checks are decisive.
 
-Image ops take a channel-major (C, N, H, W) batch, or one (C, H, W) image
-as a batch of one; ``conv2d`` is one node per batch, gathers a chunk of
-images' patches with one lookup through a cached index table and fuses its
-channel bias and ReLU, so it keeps one activation alive.  It has one kernel:
-the same chunks run on the calling thread alone or, for a large batch, shared
-with a helper thread.
-Pooling yields (N, C) rows, and the row-wise ops (``linear``,
-``l2_normalize``, ``dropout``) treat a vector as a batch of one.  A batched
-op computes each example with the same BLAS calls as a batch of one would,
-and sums parameter gradients over the examples with ``sum_examples``, so a
-batch gives the results of one graph per example bit for bit.
+Every op takes a batch, and a single example is a batch of one: an unbatched
+operand is a ShapeError, and an unbatched dropout key a ContractError.  Image
+ops take a channel-major (C, N, H, W) batch; ``conv2d`` is one node per batch,
+gathers a chunk of images' patches with one lookup through a cached index
+table and fuses its channel bias and ReLU, so it keeps one activation alive.
+It has one kernel: the same chunks run on the calling thread alone or, for a
+large batch, shared with a helper thread.  Pooling yields the (N, C) rows
+that the row-wise ops (``linear``, ``l2_normalize``, ``dropout``) take.  A
+batched op computes each example with the same BLAS calls as a batch of one
+would, and sums parameter gradients over the examples with ``sum_examples``,
+so a batch gives the results of one graph per example bit for bit.
 
 Graphs are built eagerly: each op returns a new ``Tensor`` holding the
 result, references to its inputs and a closure that routes the incoming
@@ -32,8 +32,8 @@ bit.  Independent graphs share no mutable state (the cached conv2d
 tables are read-only, and the helper serves one call at a time while the
 others run on their own threads) and may run in parallel threads.
 
-Dropout takes an explicit seed (an int or a tuple of ints), so a forward
-pass is reproducible bit-for-bit from the seed alone.  A batch's row keys
+Dropout takes an explicit key per row (an int or a tuple of ints), so a
+forward pass is reproducible bit-for-bit from the keys alone.  The row keys
 are hashed together: one vectorized pass of numpy's ``SeedSequence`` hash
 gives every row's PCG64 seed words, and each row draws the mask that
 ``np.random.default_rng(key)`` would.
@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, GraphError, ShapeError
+from .errors import ContractError, DegenerateInputError, GraphError, ShapeError
 
 NORM_EPSILON = 1e-12  # below this l2_normalize refuses to divide
 
@@ -322,30 +322,26 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def dropout(a: Tensor, p: float, seed, training: bool = True) -> Tensor:
+def dropout(a: Tensor, p: float, keys: list, training: bool = True) -> Tensor:
     """Zero entries independently with probability ``p``, scaling survivors by 1/(1-p).
 
-    Returns ``a`` itself when ``training`` is false or ``p == 0``.  The mask
-    is a pure function of ``seed`` (an int or tuple of ints), so repeated
-    calls with the same seed reproduce the same mask bit-for-bit.  A list of
-    seeds, one per row of ``a``, draws each row's mask as it would alone,
-    ``np.random.default_rng(seed[i]).random(a.shape[1:])``: the rows' seed
-    hashes run as one vectorized pass (``_seed_words``), and each row's PCG64
-    starts from its precomputed words.
+    Returns ``a`` itself when ``training`` is false or ``p == 0``.  ``keys``
+    is a list of seeds (ints or tuples of ints), one per row of ``a``, and row
+    i's mask is ``np.random.default_rng(keys[i]).random(a.shape[1:])`` bit for
+    bit: the rows' seed hashes run as one vectorized pass (``_seed_words``),
+    and each row's PCG64 starts from its precomputed words.
     """
+    if not isinstance(keys, list):
+        raise ContractError(f"dropout takes a list of row keys, got {keys!r}")
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return a
-
-    if isinstance(seed, list):
-        if len(seed) != a.shape[0]:
-            raise ShapeError(f"dropout: {len(seed)} row seeds for shape {a.shape}")
-        draws = np.empty(a.shape)
-        for i, words in enumerate(_seed_words(seed)):
-            np.random.Generator(np.random.PCG64(_SeedWords(words))).random(out=draws[i, ...])
-    else:
-        draws = np.random.default_rng(seed).random(a.shape)
+    if len(keys) != a.shape[0]:
+        raise ShapeError(f"dropout: {len(keys)} row keys for shape {a.shape}")
+    draws = np.empty(a.shape)
+    for i, words in enumerate(_seed_words(keys)):
+        np.random.Generator(np.random.PCG64(_SeedWords(words))).random(out=draws[i, ...])
     keep = draws >= p
     factor = 1.0 / (1.0 - p)
 
@@ -355,9 +351,11 @@ def dropout(a: Tensor, p: float, seed, training: bool = True) -> Tensor:
     return _result(a.data * keep * factor, (a,), "dropout", backward)
 
 
-def subkey(key, *site):
-    """A dropout key extended by a site id; a list of row keys extends each one."""
-    return [k + site for k in key] if isinstance(key, list) else key + site
+def subkey(keys: list, *site) -> list:
+    """Each of a list of row keys extended by a site id."""
+    if not isinstance(keys, list):
+        raise ContractError(f"subkey takes a list of row keys, got {keys!r}")
+    return [k + site for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +363,18 @@ def subkey(key, *site):
 # ---------------------------------------------------------------------------
 
 def take_row(a: Tensor, index: int) -> Tensor:
-    """Row ``index`` of the last two axes, ([N,] T, d) -> ([N,] d); gradient scatters back."""
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"take_row needs a 2-d or 3-d tensor, got shape {a.shape}")
+    """Step ``index`` of each of n sequences, (n, T, d) -> (n, d); gradient scatters back."""
+    if a.data.ndim != 3:
+        raise ShapeError(f"take_row needs an (n, T, d) batch, got shape {a.shape}")
     index = int(index)
 
     def backward(g):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
-            buf[..., index, :] = g
+            buf[:, index] = g
             _accum(a, buf)
 
-    return _result(a.data[..., index, :].copy(), (a,), "take_row", backward)
+    return _result(a.data[:, index].copy(), (a,), "take_row", backward)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
@@ -406,22 +404,20 @@ def take_rows(a: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``weight @ x + bias`` of a vector (in,) or of each row of (N, in).
+    """Affine map ``weight @ x + bias`` of each row of (N, in).
 
     Each row is its own matrix-vector product, and the weight and bias
     gradients sum over rows with ``sum_examples``.
     """
-    if (x.data.ndim not in (1, 2) or weight.data.ndim != 2 or x.shape[-1] != weight.shape[1]
+    if (x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[1]
             or bias.shape != weight.shape[:1]):
         raise ShapeError(f"linear: shapes {x.shape}, {weight.shape}, {bias.shape} do not line up")
-    rows = x.data.reshape(-1, weight.shape[1])
 
     def backward(g):
-        g2 = g.reshape(-1, weight.shape[0])
         if x.requires_grad:   # untracked rows, e.g. a frozen table's, need no product
             _accum(x, np.matmul(weight.data.T, g[..., None])[..., 0])
-        _accum(weight, sum_examples(len(rows), lambda k: np.outer(g2[k], rows[k])))
-        _accum(bias, sum_examples(len(rows), lambda k: g2[k]))
+        _accum(weight, sum_examples(len(g), lambda k: np.outer(g[k], x.data[k])))
+        _accum(bias, sum_examples(len(g), lambda k: g[k]))
 
     out = np.matmul(weight.data, x.data[..., None])[..., 0] + bias.data
     return _result(out, (x, weight, bias), "linear", backward)
@@ -433,9 +429,9 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def l2_normalize(a: Tensor) -> Tensor:
-    """x / ||x||_2 of a vector or of each matrix row; a norm <= NORM_EPSILON is an error."""
-    if a.data.ndim not in (1, 2):
-        raise ShapeError(f"l2_normalize needs a vector or a matrix, got shape {a.shape}")
+    """x / ||x||_2 of each row of (N, d); a norm <= NORM_EPSILON is an error."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"l2_normalize needs (N, d) rows, got shape {a.shape}")
     norm = np.sqrt(_row_dots(a.data, a.data))
     if norm.min() <= NORM_EPSILON:
         raise DegenerateInputError(f"l2_normalize: norm {norm.min():.3e} is too close to zero")
@@ -727,30 +723,29 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     """Strided 2-d cross-correlation (no kernel flip), with an optional per-channel
     ``bias`` (Cout,) and ReLU fused into the same node.
 
-    ``x`` is a channel-major batch (Cin, N, H, W) or one image (Cin, H, W), and
-    ``kernel`` (Cout, Cin, kh, kw); the output keeps the layout.  The batch runs in
-    chunks of a few images.  A chunk's patch matrices (im2col) are one ``take``
-    through its geometry's cached index table from flat copies of its images that
-    each end in the zero that padding reads, and each image's patch matrix meets the
-    kernel in its own GEMM into the batch's output: BLAS may round one wide GEMM
-    differently, and a chunk's patch matrices stay small.  The kernel gradient
-    gathers the patches again instead of keeping them alive, and its per-image
-    partials are summed last image first; the input gradient scatters back with one
-    ``bincount`` per image over the table, which adds each cell's contributions in
-    kernel-offset order, from 0.0.  A large batch shares its chunks with a helper
-    thread where ``_split_engaged()`` (see ``_Share``); otherwise, as for a batch of
-    one, the caller runs the same chunks alone, so either way gives the same bits.
-    Output spatial size is floor((H + 2*pad - kh)/stride) + 1 (same for W); a
-    zero-size output raises ShapeError.
+    ``x`` is a channel-major batch (Cin, N, H, W), and ``kernel`` (Cout, Cin, kh, kw);
+    the output keeps the layout.  The batch runs in chunks of a few images.  A
+    chunk's patch matrices (im2col) are one ``take`` through its geometry's cached
+    index table from flat copies of its images that each end in the zero that
+    padding reads, and each image's patch matrix meets the kernel in its own GEMM
+    into the batch's output: BLAS may round one wide GEMM differently, and a chunk's
+    patch matrices stay small.  The kernel gradient gathers the patches again
+    instead of keeping them alive, and its per-image partials are summed last image
+    first; the input gradient scatters back with one ``bincount`` per image over the
+    table, which adds each cell's contributions in kernel-offset order, from 0.0.  A
+    large batch shares its chunks with a helper thread where ``_split_engaged()``
+    (see ``_Share``); otherwise the caller runs the same chunks alone, so either way
+    gives the same bits.  Output spatial size is floor((H + 2*pad - kh)/stride) + 1
+    (same for W); a zero-size output raises ShapeError.
     """
-    if x.data.ndim not in (3, 4) or kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d: need (Cin,[N,]H,W) and (Cout,Cin,kh,kw), got {x.shape} "
+    if x.data.ndim != 4 or kernel.data.ndim != 4:
+        raise ShapeError(f"conv2d: need (Cin,N,H,W) and (Cout,Cin,kh,kw), got {x.shape} "
                          f"and {kernel.shape}")
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
     if pad < 0:
         raise ValueError(f"conv2d: pad must be >= 0, got {pad}")
-    cin, *batch, h, w = x.data.shape
+    cin, n, h, w = x.data.shape
     cout, cin_k, kh, kw = kernel.data.shape
     if cin != cin_k:
         raise ShapeError(f"conv2d: input channels {x.shape} do not match kernel {kernel.shape}")
@@ -760,22 +755,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     w_out = (w + 2 * pad - kw) // stride + 1
     if h + 2 * pad < kh or w + 2 * pad < kw or h_out < 1 or w_out < 1:
         raise ShapeError(f"conv2d: kernel {kernel.shape} exceeds padded input {x.shape} (pad={pad})")
-    n = batch[0] if batch else 1
-    images = x.data.reshape(cin, n, h, w)
     k2 = kernel.data.reshape(cout, -1)
     index = _patch_index(cin, h, w, kh, kw, stride, pad)
     chunk = min(n, max(1, _CHUNK_BYTES // (8 * index.shape[0] * (index.shape[1] + cout))))
     split = n >= _SPLIT_MIN_CHUNKS * chunk and _split_engaged()
 
     out = np.empty((cout, n, h_out * w_out))
-    _conv_forward(images, k2, index, chunk, split, out)
+    _conv_forward(x.data, k2, index, chunk, split, out)
     if bias is not None:
         out += bias.data[:, None, None]
     if relu:
         np.maximum(out, 0.0, out=out)   # maximum, not where: NaN propagates
 
     def backward(g):
-        grads = _conv_backward(images, k2, index, chunk, split, g.reshape(out.shape),
+        grads = _conv_backward(x.data, k2, index, chunk, split, g.reshape(out.shape),
                                out if relu else None, bias is not None, kernel.requires_grad,
                                x.requires_grad)
         for t, grad in zip((bias, kernel, x), grads):
@@ -783,24 +776,23 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
                 _accum(t, grad.reshape(t.data.shape))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _result(out.reshape(cout, *batch, h_out, w_out), parents, "conv2d", backward)
+    return _result(out.reshape(cout, n, h_out, w_out), parents, "conv2d", backward)
 
 
 def spatial_max_min(x: Tensor) -> Tensor:
-    """Per-channel max + min over the spatial grid: (C, h, w) -> (C,), (C, N, h, w) -> (N, C).
+    """Per-channel max + min over the spatial grid of each image: (C, N, h, w) -> (N, C).
 
     The backward pass routes a unit of gradient to the argmax cell and a
     unit to the argmin cell of each channel; ties go to the first cell in
     row-major order (a constant map therefore gets 2x on its first cell).
     """
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"spatial_max_min needs (C,[N,]h,w), got shape {x.shape}")
-    lead = x.data.shape[:-2]
-    flat = x.data.reshape(int(np.prod(lead)), -1)
-    rows = np.arange(flat.shape[0])
-    imax = flat.argmax(axis=1)
-    imin = flat.argmin(axis=1)
-    out = (flat[rows, imax] + flat[rows, imin]).reshape(lead).T
+    if x.data.ndim != 4:
+        raise ShapeError(f"spatial_max_min needs (C,N,h,w), got shape {x.shape}")
+    c, n, h, w = x.data.shape
+    flat = x.data.reshape(c * n, h * w)
+    rows = np.arange(c * n)
+    imax, imin = flat.argmax(axis=1), flat.argmin(axis=1)
+    out = (flat[rows, imax] + flat[rows, imin]).reshape(c, n).T
 
     def backward(g):
         if x.requires_grad:
@@ -814,9 +806,9 @@ def spatial_max_min(x: Tensor) -> Tensor:
 
 
 def spatial_mean(x: Tensor) -> Tensor:
-    """Per-channel mean over the spatial grid: (C, h, w) -> (C,), (C, N, h, w) -> (N, C)."""
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"spatial_mean needs (C,[N,]h,w), got shape {x.shape}")
+    """Per-channel mean over the spatial grid of each image: (C, N, h, w) -> (N, C)."""
+    if x.data.ndim != 4:
+        raise ShapeError(f"spatial_mean needs (C,N,h,w), got shape {x.shape}")
     area = x.data.shape[-2] * x.data.shape[-1]
 
     def backward(g):

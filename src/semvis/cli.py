@@ -32,7 +32,7 @@ from . import __version__
 from .autodiff import no_grad
 from .data import CELLS, Dataset, SceneConfig, generate_dataset, read_dataset, write_dataset
 from .errors import CheckpointError, ContractError, DegenerateInputError
-from .evaluate import RetrievalReport, eval_pointing, eval_retrieval
+from .evaluate import ENCODE_BATCH, RetrievalReport, eval_pointing, eval_retrieval
 from .localize import LocalizationConfig, activation_maps, heatmap, point, render_heatmap
 from .model import Model, ModelConfig, coerce_number, setting_type, settings_from
 from .ppm import overwrite, read_ppm
@@ -40,7 +40,6 @@ from .text import tokenize
 from .train import AdamState, TrainSchedule, load_checkpoint, train
 
 SEED_DEFAULT = 1
-CORPUS_CHUNK = 64   # images or distinct captions per batched encode in evaluation
 _SETTINGS = (*fields(ModelConfig), *fields(TrainSchedule))
 
 
@@ -82,14 +81,14 @@ def _parse_objects(spec: str) -> tuple[int, int]:
 
 
 def _encode_corpus(model: Model, dataset: Dataset):
-    """Untracked eval-mode embeddings, CORPUS_CHUNK per batch; owners map captions to images."""
+    """Untracked eval-mode embeddings, ENCODE_BATCH per batch; owners map captions to images."""
     scenes = dataset.scenes
     texts = list(dict.fromkeys(c for s in scenes for c in s.captions))   # templates repeat
     with no_grad():
-        images = [model.encode_images([s.image for s in scenes[lo:lo + CORPUS_CHUNK]]).data
-                  for lo in range(0, len(scenes), CORPUS_CHUNK)]
-        distinct = [model.encode_texts(texts[lo:lo + CORPUS_CHUNK]).data
-                    for lo in range(0, len(texts), CORPUS_CHUNK)]
+        images = [model.encode_images([s.image for s in scenes[lo:lo + ENCODE_BATCH]]).data
+                  for lo in range(0, len(scenes), ENCODE_BATCH)]
+        distinct = [model.encode_texts(texts[lo:lo + ENCODE_BATCH]).data
+                    for lo in range(0, len(texts), ENCODE_BATCH)]
     row = {text: i for i, text in enumerate(texts)}
     captions = np.concatenate(distinct)[[row[c] for s in scenes for c in s.captions]]
     owners = [i for i, s in enumerate(scenes) for _ in s.captions]
@@ -192,9 +191,9 @@ def cmd_localize(args, parser) -> int:
 
     with no_grad():
         _, stack = model.pooled_features([image])
-        embedding = model.encode_text(token_ids, training=False)
+        embedding = model.encode_texts([token_ids]).data[0]
     maps = activation_maps(stack.data, model.params["proj.weight"].data)[0]
-    heat = heatmap(maps, embedding.data, LocalizationConfig(top_k=model.cfg.effective_top_k()))
+    heat = heatmap(maps, embedding, LocalizationConfig(top_k=model.cfg.effective_top_k()))
     px, py = point(heat, image.shape[1:])
     render_heatmap(heat, image, args.out)
     line = json.dumps({"x": px, "y": py, "heat_max": float(heat.max())}, sort_keys=True)

@@ -118,7 +118,7 @@ def _inside(boxes: np.ndarray, px, py) -> np.ndarray:
     return (x <= px) & (px < x + w) & (y <= py) & (py < y + h)
 
 
-_POINTING_BATCH = 32   # distinct images per encode: bounds the batch's activations
+ENCODE_BATCH = 32   # images or distinct captions per encode: bounds the batch's activations
 
 
 def eval_pointing(model, regions, cfg: LocalizationConfig) -> PointingReport:
@@ -129,7 +129,7 @@ def eval_pointing(model, regions, cfg: LocalizationConfig) -> PointingReport:
     distinct phrases encode in one call, and their top-k picks are made once
     (a k above the embedding size fails before any image is encoded).  Each
     distinct image (by identity) is encoded once, in chunks of up to
-    ``_POINTING_BATCH`` same-size images.  Per chunk, the maps of its images
+    ``ENCODE_BATCH`` same-size images.  Per chunk, the maps of its images
     and the heat, peak and box test of every region on them are arrays, so
     maps are held for one chunk at a time, not for the whole call.
     """
@@ -148,10 +148,10 @@ def eval_pointing(model, regions, cfg: LocalizationConfig) -> PointingReport:
     chunks, place = [], {}   # place: id(image) -> (its chunk, its slot in the chunk)
     for group in by_size.values():
         images = list(group.values())
-        for lo in range(0, len(images), _POINTING_BATCH):
+        for lo in range(0, len(images), ENCODE_BATCH):
             place.update((id(image), (len(chunks), j))
-                         for j, image in enumerate(images[lo:lo + _POINTING_BATCH]))
-            chunks.append(images[lo:lo + _POINTING_BATCH])
+                         for j, image in enumerate(images[lo:lo + ENCODE_BATCH]))
+            chunks.append(images[lo:lo + ENCODE_BATCH])
     chunk_of, slot = np.array([place[id(image)] for image, _, _ in regions]).T
     row = {phrase: i for i, phrase in enumerate(phrases)}
     rows = np.array([row[phrase] for _, phrase, _ in regions])

@@ -8,11 +8,11 @@ the phrase.  Bias and normalization shift every cell equally, so they are
 omitted.  Nothing here trains, so it all runs on plain arrays (callers pass
 the model's ``.data``); a heat is (h, w), sized in pixels by its image.
 
-The arithmetic is written once, batched: n images' maps in one stacked
-product, the heat of R regions in one stacked (R, 1, k) @ (R, k, h*w)
-product, their peaks in one row-wise argmax.  ``heatmap`` and ``point`` are
-its one-region calls, so the pointing game and ``semvis localize`` agree bit
-for bit.
+The arithmetic is written once, batched: n images' maps (one image is a
+batch of one) in one stacked product, the heat of R regions in one stacked
+(R, 1, k) @ (R, k, h*w) product, their peaks in one row-wise argmax.
+``heatmap`` and ``point`` are its one-region calls, so the pointing game
+and ``semvis localize`` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -37,15 +37,14 @@ class LocalizationConfig:
 def activation_maps(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Per-pixel product of the projection matrix with the channel vector.
 
-    (C, h, w) features and a (d, C) matrix give (d, h, w) maps, and a
-    (C, n, h, w) batch gives (n, d, h, w) from one stacked product;
-    equivalent to a 1x1 convolution with the matrix as kernel.
+    A (C, n, h, w) feature batch and a (d, C) matrix give (n, d, h, w) maps
+    from one stacked product; equivalent to a 1x1 convolution with the matrix
+    as kernel.
     """
-    if stack.ndim not in (3, 4) or mat.ndim != 2 or mat.shape[1] != stack.shape[0]:
+    if stack.ndim != 4 or mat.ndim != 2 or mat.shape[1] != stack.shape[0]:
         raise ShapeError(f"activation_maps: shapes {mat.shape} and {stack.shape} do not line up")
-    c, h, w = stack.shape[0], *stack.shape[-2:]
-    maps = np.matmul(mat, stack.reshape(c, -1, h * w).swapaxes(0, 1))
-    return maps.reshape(*stack.shape[1:-2], mat.shape[0], h, w)
+    c, n, h, w = stack.shape
+    return np.matmul(mat, stack.reshape(c, n, h * w).swapaxes(0, 1)).reshape(n, -1, h, w)
 
 
 def top_k_indices(v: np.ndarray, k: int) -> np.ndarray:

@@ -176,16 +176,14 @@ class Model:
 
     def encode_image(self, image, training: bool = False,
                      rng_key: tuple = ()) -> tuple[Tensor, Tensor]:
-        """(embedding (d,), feature stack (C, h, w)) for a uint8 or float (3, H, W) image:
-        ``visual.pooled_features``, then ``visual.project`` under ``rng_key``."""
-        pooled, stack = vis.pooled_features(vis.image_to_tensor(image), self.params, self.cfg)
-        return vis.project(pooled, self.params, self.cfg.visual_dropout, training, rng_key), stack
+        """(embedding (d,), feature stack (C, 1, h, w)) of a uint8 or float (3, H, W)
+        image as a batch of one: row 0 of ``pooled_features`` and ``project``."""
+        pooled, stack = self.pooled_features([image])
+        return ad.take_rows(self.project(pooled, training, [rng_key]), 0), stack
 
     def encode_text(self, text, training: bool = False, rng_key: tuple = ()) -> Tensor:
-        """Embed a caption string, or a pre-tokenized list of token indices."""
-        token_ids = text_mod.tokenize(text, self.vocab) if isinstance(text, str) else list(text)
-        return text_mod.encode_text(token_ids, self.params, self.cfg,
-                                    training=training, rng_key=rng_key)
+        """(d,) embedding of a caption string or token ids: row 0 of ``encode_texts``."""
+        return ad.take_rows(self.encode_texts([text], training, [rng_key]), 0)
 
     def pooled_features(self, images) -> tuple[Tensor, Tensor]:
         """``visual.pooled_features`` of N same-size uint8 or float (3, H, W) images as
@@ -201,8 +199,7 @@ class Model:
 
     def project(self, pooled: Tensor, training: bool = False, rng_keys=None) -> Tensor:
         """(N, d) embeddings of pooled rows; row j's dropout key is ``rng_keys[j]``."""
-        return vis.project(pooled, self.params, self.cfg.visual_dropout, training,
-                           () if rng_keys is None else list(rng_keys))
+        return vis.project(pooled, self.params, self.cfg.visual_dropout, training, rng_keys)
 
     def encode_images(self, images, training: bool = False, rng_keys=None) -> Tensor:
         """(N, d) embeddings of N images: ``pool_images``, then one ``project``."""
@@ -213,7 +210,7 @@ class Model:
         ids = [text_mod.tokenize(t, self.vocab) if isinstance(t, str) else list(t) for t in texts]
         return _by_bucket([len(seq) for seq in ids], lambda rows: text_mod.encode_text(
             [ids[i] for i in rows], self.params, self.cfg, training=training,
-            rng_key=() if rng_keys is None else [rng_keys[i] for i in rows]))
+            rng_keys=[] if rng_keys is None else [rng_keys[i] for i in rows]))
 
 
 def _by_bucket(sizes: list, encode) -> Tensor:

@@ -5,7 +5,7 @@ the vocabulary (unknown words become ``<unk>``).  Token vectors then run
 through L recurrent layers whose heavy matrix products depend only on the
 inputs; the last hidden state of the top layer, l2-normalized, is the
 sentence embedding.  Captions of one token length encode together as one
-(n, T, d) batch; a single caption is the same code on a (T, d) sequence.
+(n, T, d) batch, and a single caption is a batch of one.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
-    """Run recurrent layer ``depth`` over a (T, in_dim) sequence, or over a batch
-    (n, T, in_dim) of equal-length sequences at once.
+    """Run recurrent layer ``depth`` over a batch (n, T, in_dim) of equal-length
+    sequences at once.
 
     The layer's tensors are ``sru.{depth}.weight`` (3*hidden, in_dim), which
     stacks the three input transforms row-wise: candidate rows [0, H),
@@ -121,21 +121,20 @@ def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
     an op-by-op cell).  The forward's elementwise work runs in place, in the
     operand order of the formulas, so it equals an allocating kernel byte for
     byte.
-    A batch runs each sequence's products as a sequence of its own would, and
-    sums the parameter gradients with ``sum_examples``.
+    Each sequence's products are its own, so a batch runs each sequence as a
+    batch of one would, and sums the parameter gradients with ``sum_examples``.
     """
     prefix = f"sru.{depth}."
     weight, bias_f, bias_r = (params[prefix + n] for n in ("weight", "bias_f", "bias_r"))
     proj = params.get(prefix + "proj")
     hidden = bias_f.shape[0]
-    if x_seq.data.ndim not in (2, 3):
-        raise ShapeError(f"sru_layer needs a ([n,] T, in_dim) sequence, got {x_seq.shape}")
-    *lead, t_len, in_dim = x_seq.data.shape
+    if x_seq.data.ndim != 3:
+        raise ShapeError(f"sru_layer needs an (n, T, in_dim) batch, got {x_seq.shape}")
+    n_seq, t_len, in_dim = x_seq.data.shape
     if proj is None and in_dim != hidden:
         raise ShapeError(f"sru_layer: input width {in_dim} needs a projection onto {hidden}")
 
-    x = x_seq.data.reshape(-1, t_len, in_dim)  # (n, T, in): [k] is sequence k, [:, t] step t
-    n_seq = len(x)
+    x = x_seq.data                             # [k] is sequence k, [:, t] step t
     wx = np.matmul(x, weight.data.T)           # one (T, 3H) product per sequence
     cand = wx[..., :hidden]
     gates = _stable_sigmoid(wx[..., hidden:] + np.concatenate([bias_f.data, bias_r.data]))
@@ -151,7 +150,6 @@ def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
     h = r * tc + (1.0 - r) * x_hat
 
     def backward(g, accumulate):
-        g = g.reshape(f.shape)
         d_tc = g * r
         d_r = g * (tc - x_hat)
         d_xh = g * (1.0 - r)
@@ -175,12 +173,12 @@ def sru_layer(x_seq: Tensor, params: dict, depth: int = 0) -> Tensor:
         else:
             accumulate(proj, ad.sum_examples(n_seq, lambda k: d_xh[k].T @ x[k]))
             d_x = d_x + np.matmul(d_xh, proj.data)
-        accumulate(x_seq, d_x.reshape(x_seq.data.shape))
+        accumulate(x_seq, d_x)
 
     parents = [x_seq, weight, bias_f, bias_r]
     if proj is not None:
         parents.append(proj)
-    return ad.fused_op(h.reshape(*lead, t_len, hidden), parents, "sru_layer", backward)
+    return ad.fused_op(h, parents, "sru_layer", backward)
 
 
 # Dropout key offset, so every dropout site in the network draws an
@@ -189,9 +187,9 @@ TEXT_DROPOUT_ID = 2
 
 
 def encode_text(token_ids, params: dict, cfg: ModelConfig,
-                training: bool = False, rng_key: tuple | list = ()) -> Tensor:
-    """Embed a token sequence (T,) as a unit vector, or n of them (n, T) as (n, d)
-    rows, each row's dropout under its key in the list ``rng_key``.
+                training: bool = False, rng_keys: list | None = None) -> Tensor:
+    """Embed n token sequences of one length, (n, T), as (n, d) unit rows, each
+    row's dropout under its key in the list ``rng_keys``.
 
     Looks the tokens up in ``word.table``, runs the ``cfg.sru_layers`` stacked
     recurrent layers with a zero carry per layer, applies inter-layer dropout
@@ -199,12 +197,13 @@ def encode_text(token_ids, params: dict, cfg: ModelConfig,
     the top layer's last hidden state and l2-normalizes it.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.ndim != 2:
+        raise ShapeError(f"encode_text needs (n, T) token ids, got shape {ids.shape}")
     if ids.size == 0:
         raise DegenerateInputError("cannot encode an empty token sequence")
     seq = ad.take_rows(params["word.table"], ids)
     for depth in range(cfg.sru_layers):
         seq = sru_layer(seq, params, depth)
         if training and cfg.sru_dropout > 0.0 and depth < cfg.sru_layers - 1:
-            seq = ad.dropout(seq, cfg.sru_dropout, ad.subkey(rng_key, TEXT_DROPOUT_ID, depth),
-                             training=True)
+            seq = ad.dropout(seq, cfg.sru_dropout, ad.subkey(rng_keys, TEXT_DROPOUT_ID, depth))
     return ad.l2_normalize(ad.take_row(seq, -1))

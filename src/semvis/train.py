@@ -14,11 +14,12 @@ each image once, up to its pooled vector, and every batch projects those
 rows instead of running the convolutions again.  The model keeps that table,
 and a later frozen epoch reuses it while the pooling mode, the block count,
 the ``backbone.*`` and ``adapt.*`` tensors and the images are byte-equal to
-what built it, so only the first frozen epoch runs the convolutions.  The
-learning rate starts at ``lr0`` and halves every epoch until
-``halving_until_epoch``, then stays fixed.  All randomness (shuffling,
-caption sampling, dropout) is derived from (seed, epoch) keys, so a run is
-bit-reproducible and a resumed run continues the exact trajectory.
+what built it, so only the first frozen epoch runs the convolutions; the
+first unfrozen epoch drops it.  The learning rate starts at ``lr0`` and
+halves every epoch until ``halving_until_epoch``, then stays fixed.  All
+randomness (shuffling, caption sampling, dropout) is derived from (seed,
+epoch) keys, so a run is bit-reproducible and a resumed run continues the
+exact trajectory.
 
 Checkpoints are a single binary file, written beside the target and renamed
 over it: magic ``SVEC``, a u32 version, a u32 length and a UTF-8 JSON header
@@ -128,6 +129,11 @@ def adam_step(params: dict, state: AdamState, lr: float, names) -> None:
         p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def _byte_copy(part):
+    """An array as its shape, dtype and bytes; any other value as it is."""
+    return (part.shape, part.dtype.str, part.tobytes()) if isinstance(part, np.ndarray) else part
+
+
 def _training_captions(scene) -> list[str]:
     longest = max(len(c.split()) for c in scene.captions)
     return [c for c in scene.captions if len(c.split()) == longest]
@@ -148,7 +154,7 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
     a batch encodes its own images, tracked.  That table stays on the model
     (``Model._pooled_table``) beside byte copies of all it was built from, and
     the next frozen epoch reuses it when they are unchanged, whatever the
-    batch size; any change rebuilds it.
+    batch size; any change rebuilds it, and an unfrozen epoch drops it.
     """
     if not dataset.scenes:
         raise ContractError("cannot train on an empty dataset")
@@ -171,19 +177,23 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
         p.requires_grad = False
     try:
         appearing, table = np.unique(order), None
-        if not any(n.startswith(IMAGE_PIPELINE) for n in names):
+        if any(n.startswith(IMAGE_PIPELINE) for n in names):
+            model._pooled_table = None   # the pipeline trains, so no epoch can reuse it
+        else:
             images = [dataset.scenes[i].image for i in appearing]
-            # Everything a pooled row reads, as byte copies: a key equal to the last
-            # frozen epoch's reuses its table, which a rebuild would reproduce bit for bit.
-            key = (model.cfg.pooling, len(model.cfg.hidden_channels),
-                   [(n, p.data.shape, p.data.dtype.str, p.data.tobytes())
-                    for n, p in model.params.items() if n.startswith(IMAGE_PIPELINE)],
-                   [(a.shape, a.dtype.str, a.tobytes()) for a in images])
-            if model._pooled_table is None or model._pooled_table[0] != key:
+            # Everything a pooled row reads.  The table is reused while byte copies of
+            # these parts match, compared one at a time; a rebuild is bit for bit the same.
+            parts = [model.cfg.pooling, len(model.cfg.hidden_channels), *images,
+                     *(x for n, p in model.params.items() if n.startswith(IMAGE_PIPELINE)
+                       for x in (n, p.data))]
+            key = model._pooled_table and model._pooled_table[0]
+            if not key or len(key) != len(parts) or any(
+                    k != _byte_copy(part) for k, part in zip(key, parts)):
+                model._pooled_table = None
                 with no_grad():
-                    model._pooled_table = key, stack_rows([
-                        model.pool_images(images[lo:lo + sched.batch_size])
-                        for lo in range(0, len(images), sched.batch_size)])
+                    rows = stack_rows([model.pool_images(images[lo:lo + sched.batch_size])
+                                       for lo in range(0, len(images), sched.batch_size)])
+                model._pooled_table = [_byte_copy(part) for part in parts], rows
             table = model._pooled_table[1]
         pools = {i: _training_captions(dataset.scenes[i]) for i in appearing.tolist()}
         losses = []

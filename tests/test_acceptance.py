@@ -48,15 +48,15 @@ FD_POINTS = 10
 
 def _check_conv2d(seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 1, 5, 5)), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     return ad.grad_check(lambda: weighted_sum((ad.conv2d(x, k, stride=2, pad=1), 1.0)), [x, k])
 
 
 def _check_spatial_max_min(seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=3))
+    x = Tensor(rng.normal(size=(3, 1, 4, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(1, 3)))
     flat = x.data.reshape(3, -1)
     gaps = np.sort(flat, axis=1)
     assert (gaps[:, 1] - gaps[:, 0] > 1e-3).all() and (gaps[:, -1] - gaps[:, -2] > 1e-3).all()
@@ -65,8 +65,8 @@ def _check_spatial_max_min(seed):
 
 def _check_l2_normalize(seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=7), requires_grad=True)
-    w = Tensor(rng.normal(size=7))
+    x = Tensor(rng.normal(size=(1, 7)), requires_grad=True)
+    w = Tensor(rng.normal(size=(1, 7)))
     return ad.grad_check(lambda: weighted_sum((ad.l2_normalize(x), w)), [x])
 
 
@@ -90,8 +90,8 @@ def _check_project(seed):
     rng = np.random.default_rng(seed)
     params = {"proj.weight": Tensor(rng.normal(size=(4, 6)), requires_grad=True),
               "proj.bias": Tensor(rng.normal(size=4), requires_grad=True)}
-    h = Tensor(rng.normal(size=6) + 2.0, requires_grad=True)
-    w = Tensor(rng.normal(size=4))
+    h = Tensor(rng.normal(size=(1, 6)) + 2.0, requires_grad=True)
+    w = Tensor(rng.normal(size=(1, 4)))
     return ad.grad_check(lambda: weighted_sum((project(h, params), w)),
                          [h, *params.values()])
 
@@ -163,7 +163,7 @@ def _reference_micro_batch(seed=7):
         from semvis import visual as vis
         relu_margin, pool_margin = np.inf, np.inf
         for image in images:
-            out = vis.image_to_tensor(np.asarray(image))
+            out = vis.image_to_tensor(np.asarray(image)[:, None])
             for i in range(len(model.cfg.hidden_channels) + 1):
                 pre = add_channel_bias(ad.conv2d(out, model.params[f"backbone.{i}.kernel"],
                                                  stride=2, pad=1),
@@ -220,7 +220,7 @@ def test_criterion_2_pooling_oracle():
         for _ in range(1000):
             c, h, w = (int(rng.integers(1, 6)) for _ in range(3))
             stack = rng.normal(size=(c, h, w))
-            got = ad.spatial_max_min(Tensor(stack)).data
+            got = ad.spatial_max_min(Tensor(stack[:, None])).data[0]
             want = np.array([ch.reshape(-1).max() + ch.reshape(-1).min() for ch in stack])
             assert (got == want).all()
 
@@ -264,7 +264,7 @@ def test_criterion_5_localization_identities():
     with criterion(5, "localization identities"):
         rng = np.random.default_rng(5)
         stack = rng.normal(size=(6, 3, 4))
-        assert (activation_maps(stack, np.eye(6)) == stack).all()
+        assert (activation_maps(stack[:, None], np.eye(6))[0] == stack).all()
 
         maps = rng.normal(size=(6, 3, 4))
         v = rng.normal(size=6)
@@ -472,7 +472,7 @@ def test_criterion_9_full_scale_configuration():
         assert x.shape == (2400,) and v.shape == (2400,)
         assert abs(np.linalg.norm(x.data) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(v.data) - 1.0) <= 1e-12
-        assert stack.shape == (2400, 4, 4)
+        assert stack.shape == (2400, 1, 4, 4)
         assert len(top_k_indices(v.data, cfg.effective_top_k())) == 180
 
         sched = TrainSchedule(epochs=30, batch_size=160, lr0=0.001,

@@ -19,28 +19,28 @@ def randt(seed, *shape, lo=-1.0, hi=1.0):
 
 class TestConv2d:
     def test_1x1_kernel_doubles(self):
-        x = randt(0, 1, 3, 3)
+        x = randt(0, 1, 1, 3, 3)
         k = Tensor(np.full((1, 1, 1, 1), 2.0))
         np.testing.assert_array_equal(ad.conv2d(x, k).data, 2.0 * x.data)
 
     def test_full_kernel_sums_entries(self):
-        x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
+        x = Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
         k = Tensor(np.ones((1, 1, 2, 2)))
-        np.testing.assert_array_equal(ad.conv2d(x, k).data, [[[10.0]]])
+        np.testing.assert_array_equal(ad.conv2d(x, k).data, [[[[10.0]]]])
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
         for stride, pad in [(1, 0), (1, 1), (2, 1), (3, 2)]:
             x = rng.normal(size=(2, 7, 6))
             k = rng.normal(size=(3, 2, 3, 3))
-            got = ad.conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad).data
+            got = ad.conv2d(Tensor(x[:, None]), Tensor(k), stride=stride, pad=pad).data[:, 0]
             np.testing.assert_allclose(got, naive_conv2d(x, k, stride, pad), rtol=1e-13)
 
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_equals_np_pad_oracle_exactly(self, pad, stride):
         rng = np.random.default_rng(10 * pad + stride)
-        x = Tensor(rng.normal(size=(3, 8, 7)))
+        x = Tensor(rng.normal(size=(3, 1, 8, 7)))
         k = Tensor(rng.normal(size=(4, 3, 3, 3)))
         np.testing.assert_array_equal(ad.conv2d(x, k, stride=stride, pad=pad).data,
                                       np_pad_conv2d(x, k, stride, pad).data)
@@ -72,7 +72,7 @@ class TestConv2d:
         (1, 0, (1, 1), (4, 3, 3, 5)),
         (2, 2, (1, 1), (2, 3, 5, 4)),     # pad >= kh: the border outputs read only padding
         (3, 2, (2, 1), (2, 3, 4, 4)),     # pad >= kh and kw
-        (2, 1, (3, 3), (3, 8, 8)),        # one image, no batch axis
+        (2, 1, (3, 3), (3, 1, 8, 8)),     # one image: a batch of one
     ])
     def test_equals_per_offset_reference_bit_for_bit(self, stride, pad, kernel_hw, shape):
         rng = np.random.default_rng(sum(shape) + 10 * stride + pad)
@@ -90,10 +90,10 @@ class TestConv2d:
 
     def test_zero_size_output_rejected(self):
         with pytest.raises(ShapeError):
-            ad.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+            ad.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
 
     def test_gradient_matches_finite_differences(self):
-        x = randt(10, 2, 5, 5)
+        x = randt(10, 2, 1, 5, 5)
         k = randt(11, 3, 2, 3, 3)
         err = ad.grad_check(lambda: weighted_sum((ad.conv2d(x, k, stride=2, pad=1), 1.0)), [x, k])
         assert err < 1e-5
@@ -192,7 +192,6 @@ class TestConvSplit:
         runs = _count_shares(monkeypatch)
         monkeypatch.setattr(ad, "_CHUNK_BYTES", 1)
         x, kernel, bias, g = self._inputs(16, 32, 32, 3, 2, 1, n=1)
-        _conv_results(x[:, 0], kernel, bias, 2, 1, True, g[:, 0])
         _conv_results(x, kernel, bias, 2, 1, True, g)
         assert runs == []
 
@@ -334,55 +333,55 @@ class TestConvSplit:
 
 class TestSpatialMaxMin:
     def test_hand_value(self):
-        x = Tensor([[[1.0, -2.0], [3.0, 0.0]]])
-        np.testing.assert_array_equal(ad.spatial_max_min(x).data, [1.0])
+        x = Tensor([[[[1.0, -2.0], [3.0, 0.0]]]])
+        np.testing.assert_array_equal(ad.spatial_max_min(x).data, [[1.0]])
 
     def test_constant_map_doubles(self):
-        for shape in [(2, 3, 3), (1, 1, 1)]:
+        for shape in [(2, 1, 3, 3), (1, 1, 1, 1)]:
             x = Tensor(np.full(shape, 2.5))
             np.testing.assert_array_equal(ad.spatial_max_min(x).data,
-                                          np.full(shape[0], 5.0))
+                                          np.full((1, shape[0]), 5.0))
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 3, 5))
-        got = ad.spatial_max_min(Tensor(x)).data
+        got = ad.spatial_max_min(Tensor(x[:, None])).data[0]
         want = np.array([max(ch.reshape(-1)) + min(ch.reshape(-1)) for ch in x])
         np.testing.assert_array_equal(got, want)
 
     def test_gradient_routes_to_argmax_and_argmin(self):
-        x = Tensor([[[1.0, -2.0], [3.0, 0.0]]], requires_grad=True)
+        x = Tensor([[[[1.0, -2.0], [3.0, 0.0]]]], requires_grad=True)
         weighted_sum((ad.spatial_max_min(x), 1.0)).backward()
-        np.testing.assert_array_equal(x.grad, [[[0.0, 1.0], [1.0, 0.0]]])
+        np.testing.assert_array_equal(x.grad, [[[[0.0, 1.0], [1.0, 0.0]]]])
 
     def test_tied_cells_use_first_row_major(self):
-        x = Tensor([[[5.0, 5.0], [5.0, 5.0]]], requires_grad=True)
+        x = Tensor([[[[5.0, 5.0], [5.0, 5.0]]]], requires_grad=True)
         weighted_sum((ad.spatial_max_min(x), 1.0)).backward()
-        np.testing.assert_array_equal(x.grad, [[[2.0, 0.0], [0.0, 0.0]]])
+        np.testing.assert_array_equal(x.grad, [[[[2.0, 0.0], [0.0, 0.0]]]])
 
     def test_gradient_matches_finite_differences(self):
-        x = randt(4, 3, 4, 4)  # continuous random values: ties have measure zero
-        w = Tensor(np.random.default_rng(5).normal(size=3))
+        x = randt(4, 3, 1, 4, 4)  # continuous random values: ties have measure zero
+        w = Tensor(np.random.default_rng(5).normal(size=(1, 3)))
         err = ad.grad_check(lambda: weighted_sum((ad.spatial_max_min(x), w)), [x])
         assert err < 1e-6
 
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        out = ad.l2_normalize(Tensor([3.0, 4.0]))
-        np.testing.assert_allclose(out.data, [0.6, 0.8], rtol=0, atol=1e-15)
+        out = ad.l2_normalize(Tensor([[3.0, 4.0]]))
+        np.testing.assert_allclose(out.data, [[0.6, 0.8]], rtol=0, atol=1e-15)
 
     def test_unit_vector_unchanged(self):
-        v = np.array([0.0, 1.0, 0.0])
+        v = np.array([[0.0, 1.0, 0.0]])
         np.testing.assert_array_equal(ad.l2_normalize(Tensor(v)).data, v)
 
     def test_near_zero_norm_rejected(self):
         with pytest.raises(DegenerateInputError):
-            ad.l2_normalize(Tensor(np.zeros(4)))
+            ad.l2_normalize(Tensor(np.zeros((1, 4))))
 
     def test_gradient_matches_finite_differences(self):
-        x = randt(6, 7)
-        w = Tensor(np.random.default_rng(8).normal(size=7))
+        x = randt(6, 1, 7)
+        w = Tensor(np.random.default_rng(8).normal(size=(1, 7)))
         err = ad.grad_check(lambda: weighted_sum((ad.l2_normalize(x), w)), [x])
         assert err < 1e-6
 
@@ -393,7 +392,7 @@ class TestL2Normalize:
         v = rng.normal(size=int(rng.integers(1, 20)))
         if np.linalg.norm(v) <= 1e-12:
             return
-        norm = np.linalg.norm(ad.l2_normalize(Tensor(v)).data)
+        norm = np.linalg.norm(ad.l2_normalize(Tensor(v[None])).data)
         assert abs(norm - 1.0) <= 1e-12
 
 
@@ -406,36 +405,36 @@ class TestElementwise:
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-300)
 
     def test_dropout_p_zero_is_identity_in_both_modes(self):
-        x = randt(9, 6)
+        x = randt(9, 1, 6)
         for training in (True, False):
             np.testing.assert_array_equal(
-                ad.dropout(x, 0.0, seed=1, training=training).data, x.data)
+                ad.dropout(x, 0.0, [1], training=training).data, x.data)
 
     def test_dropout_eval_mode_is_identity(self):
-        x = randt(10, 6)
-        np.testing.assert_array_equal(ad.dropout(x, 0.9, seed=1, training=False).data, x.data)
+        x = randt(10, 1, 6)
+        np.testing.assert_array_equal(ad.dropout(x, 0.9, [1], training=False).data, x.data)
 
     def test_identity_dropout_returns_its_input(self):
-        x = randt(10, 6)
-        assert ad.dropout(x, 0.9, seed=1, training=False) is x
-        assert ad.dropout(x, 0.0, seed=1, training=True) is x
+        x = randt(10, 1, 6)
+        assert ad.dropout(x, 0.9, [1], training=False) is x
+        assert ad.dropout(x, 0.0, [1], training=True) is x
 
     def test_dropout_deterministic_given_seed(self):
-        x = randt(11, 50)
-        a = ad.dropout(x, 0.5, seed=(1, 2, 3), training=True).data
-        b = ad.dropout(x, 0.5, seed=(1, 2, 3), training=True).data
-        c = ad.dropout(x, 0.5, seed=(1, 2, 4), training=True).data
+        x = randt(11, 1, 50)
+        a = ad.dropout(x, 0.5, [(1, 2, 3)], training=True).data
+        b = ad.dropout(x, 0.5, [(1, 2, 3)], training=True).data
+        c = ad.dropout(x, 0.5, [(1, 2, 4)], training=True).data
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_dropout_scales_survivors(self):
-        x = Tensor(np.ones(1000))
-        out = ad.dropout(x, 0.25, seed=0, training=True).data
+        x = Tensor(np.ones((1, 1000)))
+        out = ad.dropout(x, 0.25, [0], training=True).data
         assert set(np.unique(out)) == {0.0, 1.0 / 0.75}
 
     def test_dropout_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            ad.dropout(Tensor(np.ones(2)), 1.0, seed=0)
+            ad.dropout(Tensor(np.ones((1, 2))), 1.0, [0])
 
 
 class TestBackward:
@@ -489,9 +488,9 @@ class TestBackward:
 
     def test_replay_determinism(self):
         def run():
-            x = Tensor(np.random.default_rng(42).normal(size=(2, 8, 8)), requires_grad=True)
+            x = Tensor(np.random.default_rng(42).normal(size=(2, 1, 8, 8)), requires_grad=True)
             k = Tensor(np.random.default_rng(43).normal(size=(3, 2, 3, 3)), requires_grad=True)
-            h = ad.dropout(ad.conv2d(x, k, stride=2, pad=1, relu=True), 0.3, seed=7)
+            h = ad.dropout(ad.conv2d(x, k, stride=2, pad=1, relu=True), 0.3, [7, 8, 9])
             out = weighted_sum((h, 1.0))
             out.backward()
             return out.data.copy(), x.grad.copy(), k.grad.copy()
@@ -503,10 +502,10 @@ class TestBackward:
 
 class TestReductionsAndIndexing:
     def test_take_row_gradient_hits_only_that_row(self):
-        table = randt(19, 4, 3)
+        table = randt(19, 1, 4, 3)
         weighted_sum((ad.take_row(table, 2), 1.0)).backward()
-        want = np.zeros((4, 3))
-        want[2] = 1.0
+        want = np.zeros((1, 4, 3))
+        want[0, 2] = 1.0
         np.testing.assert_array_equal(table.grad, want)
 
     def test_slice_rows_roundtrip_gradient(self):
@@ -521,8 +520,8 @@ class TestReductionsAndIndexing:
         assert err < 1e-9
 
     def test_spatial_mean_matches_numpy(self):
-        x = randt(32, 4, 3, 5)
-        np.testing.assert_allclose(ad.spatial_mean(x).data, x.data.mean(axis=(1, 2)),
+        x = randt(32, 4, 1, 3, 5)
+        np.testing.assert_allclose(ad.spatial_mean(x).data[0], x.data[:, 0].mean(axis=(1, 2)),
                                    rtol=1e-15)
 
 
@@ -536,7 +535,7 @@ class TestGradCheckHarness:
     def test_primitive_suite_at_random_points(self, seed):
         """Composite of every differentiable primitive, checked at 10 points."""
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.uniform(0.1, 1.0, size=(2, 4, 4)), requires_grad=True)
+        x = Tensor(rng.uniform(0.1, 1.0, size=(2, 1, 4, 4)), requires_grad=True)
         k = Tensor(rng.uniform(-0.5, 0.5, size=(2, 2, 3, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-0.5, 0.5, size=2), requires_grad=True)
         w = Tensor(rng.uniform(-1.0, 1.0, size=(3, 2)), requires_grad=True)
@@ -604,7 +603,7 @@ class TestBatchedKernels:
         x, k, b = randt(57, 2, 3, 8, 8), randt(58, 4, 2, 3, 3), randt(59, 4)
         batched = ad.conv2d(x, k, 2, 1, bias=b, relu=True).data
         for j in range(3):
-            single = ad.conv2d(Tensor(x.data[:, j]), k, 2, 1, bias=b, relu=True).data
+            single = ad.conv2d(Tensor(x.data[:, j:j + 1]), k, 2, 1, bias=b, relu=True).data[:, 0]
             np.testing.assert_array_equal(batched[:, j], single)
             want = naive_conv2d(x.data[:, j], k.data, 2, 1) + b.data[:, None, None]
             np.testing.assert_allclose(single, np.maximum(want, 0.0), rtol=1e-12, atol=1e-14)
@@ -617,7 +616,7 @@ class TestBatchedKernels:
         rows = pool(x).data
         assert rows.shape == (3, 4)
         for j in range(3):
-            np.testing.assert_array_equal(rows[j], pool(Tensor(x.data[:, j])).data)
+            np.testing.assert_array_equal(rows[j], pool(Tensor(x.data[:, j:j + 1])).data[0])
 
     def test_row_wise_l2_normalize(self):
         x = randt(62, 3, 5)
@@ -631,7 +630,8 @@ class TestBatchedKernels:
         keys = [(1, 2, j) for j in range(3)]
         rows = ad.dropout(x, 0.5, keys).data
         for j, key in enumerate(keys):
-            np.testing.assert_array_equal(rows[j], ad.dropout(Tensor(np.ones(40)), 0.5, key).data)
+            np.testing.assert_array_equal(rows[j],
+                                          ad.dropout(Tensor(np.ones((1, 40))), 0.5, [key]).data[0])
 
     # Row keys of 0 to 9 little-endian 32-bit words: shorter and longer than the
     # seed hash's 4-word pool, with bools, numpy integers and multi-word entries.

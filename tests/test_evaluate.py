@@ -290,7 +290,7 @@ def _single_encode_points(model, regions, cfg):
     points = []
     for image, phrase, _ in regions:
         _, stack = model.encode_image(image)
-        maps = activation_maps(stack.data, model.params["proj.weight"].data)
+        maps = activation_maps(stack.data, model.params["proj.weight"].data)[0]
         points.append(point(heatmap(maps, model.encode_text(phrase).data, cfg), image.shape[1:]))
     return points
 
@@ -367,7 +367,7 @@ class TestBatchedPointingMatchesThePerRegionOracle:
             for r, (i, p) in enumerate(zip(image_of, rows)):
                 with no_grad():
                     _, stack = model.encode_image(group[i])
-                image_maps = _image_maps(stack.data, weight)
+                image_maps = _image_maps(stack.data[:, 0], weight)
                 np.testing.assert_array_equal(maps[i], image_maps)
                 want_heat, want_peak = _per_region_oracle(image_maps, embeddings[p], top_k,
                                                           size[1:])
@@ -387,8 +387,8 @@ class TestBatchedPointingMatchesThePerRegionOracle:
             for phrase in phrases:
                 with no_grad():
                     v = model.encode_text(phrase).data
-                peaks[id(image), phrase] = _per_region_oracle(_image_maps(stack.data, weight), v,
-                                                              top_k, image.shape[1:])[1]
+                peaks[id(image), phrase] = _per_region_oracle(
+                    _image_maps(stack.data[:, 0], weight), v, top_k, image.shape[1:])[1]
         queries = [(image, phrase) for phrase in phrases for image in images]
         order = np.random.default_rng(1).permutation(len(queries))
         queries = [queries[i] for i in order]

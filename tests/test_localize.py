@@ -21,21 +21,21 @@ RNG = np.random.default_rng(21)
 
 class TestActivationMaps:
     def test_identity_matrix_passes_through(self):
-        stack = RNG.normal(size=(4, 3, 3))
-        np.testing.assert_array_equal(activation_maps(stack, np.eye(4)), stack)
+        stack = RNG.normal(size=(4, 1, 3, 3))
+        np.testing.assert_array_equal(activation_maps(stack, np.eye(4))[0], stack[:, 0])
 
     def test_single_pixel_grid_is_a_matvec(self):
-        stack = RNG.normal(size=(5, 1, 1))
+        stack = RNG.normal(size=(5, 1, 1, 1))
         mat = RNG.normal(size=(3, 5))
         out = activation_maps(stack, mat)
-        np.testing.assert_array_equal(out[:, 0, 0], mat @ stack[:, 0, 0])
+        np.testing.assert_array_equal(out[0, :, 0, 0], mat @ stack[:, 0, 0, 0])
 
     def test_bit_equal_to_1x1_convolution(self):
-        stack = RNG.normal(size=(6, 4, 5))
+        stack = RNG.normal(size=(6, 1, 4, 5))
         mat = RNG.normal(size=(3, 6))
         got = activation_maps(stack, mat)
         conv = ad.conv2d(Tensor(stack), Tensor(mat.reshape(3, 6, 1, 1))).data
-        np.testing.assert_array_equal(got, conv)
+        np.testing.assert_array_equal(got[0], conv[:, 0])
 
 
 class TestTopK:
@@ -210,7 +210,7 @@ class TestPointingPin:
         with no_grad():
             for image, phrase, _ in regions:
                 _, stack = model.encode_image(image)
-                maps = activation_maps(stack.data, model.params["proj.weight"].data)
+                maps = activation_maps(stack.data, model.params["proj.weight"].data)[0]
                 heat = heatmap(maps, model.encode_text(phrase).data, cfg)
                 digest.update(heat.tobytes() + struct.pack("<2d", *point(heat, image.shape[1:])))
         assert digest.hexdigest() == GOLDEN_POINTING

@@ -149,41 +149,42 @@ class TestSruLayerFusion:
     def test_forward_matches_chained_cells(self, in_dim, hidden, t_len):
         layer = random_layer(hidden, in_dim, seed=in_dim * 100 + t_len)
         x = np.random.default_rng(0).normal(size=(t_len, in_dim))
-        fused = sru_layer(Tensor(x), layer)
+        fused = sru_layer(Tensor(x[None]), layer)
         c = Tensor(np.zeros(hidden))
         for t in range(t_len):
             h, c = sru_cell(Tensor(x[t]), c, layer)
-            np.testing.assert_allclose(fused.data[t], h.data, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(fused.data[0, t], h.data, rtol=1e-13, atol=1e-15)
 
     def test_gradients_match_chained_cells(self):
         layer = random_layer(hidden=4, in_dim=3, seed=9)
         x = np.random.default_rng(1).normal(size=(5, 3))
         w = np.random.default_rng(2).normal(size=(5, 4))
 
-        def tensors():
-            return (Tensor(x, requires_grad=True), random_layer(hidden=4, in_dim=3, seed=9))
+        def tensors(shape):
+            return (Tensor(x.reshape(shape), requires_grad=True),
+                    random_layer(hidden=4, in_dim=3, seed=9))
 
-        x_a, layer_a = tensors()
+        x_a, layer_a = tensors((1, 5, 3))
         out = sru_layer(x_a, layer_a)
-        weighted_sum((out, w)).backward()
+        weighted_sum((out, w[None])).backward()
 
-        x_b, layer_b = tensors()
+        x_b, layer_b = tensors((5, 3))
         c = Tensor(np.zeros(4))
         hs = []
         for t in range(5):
-            h, c = sru_cell(ad.take_row(x_b, t), c, layer_b)
+            h, c = sru_cell(ad.take_rows(x_b, t), c, layer_b)
             hs.append(h)
         weighted_sum(*zip(hs, w)).backward()
 
-        np.testing.assert_allclose(x_a.grad, x_b.grad, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(x_a.grad[0], x_b.grad, rtol=1e-12, atol=1e-14)
         for name in ("sru.0.weight", "sru.0.bias_f", "sru.0.bias_r", "sru.0.proj"):
             np.testing.assert_allclose(layer_a[name].grad, layer_b[name].grad,
                                        rtol=1e-12, atol=1e-14)
 
     def test_gradient_against_finite_differences(self):
         layer = random_layer(hidden=3, in_dim=3, seed=4)
-        x = Tensor(np.random.default_rng(5).normal(size=(4, 3)), requires_grad=True)
-        w = Tensor(np.random.default_rng(6).normal(size=(4, 3)))
+        x = Tensor(np.random.default_rng(5).normal(size=(1, 4, 3)), requires_grad=True)
+        w = Tensor(np.random.default_rng(6).normal(size=(1, 4, 3)))
 
         def f():
             return weighted_sum((sru_layer(x, layer), w))
@@ -211,15 +212,14 @@ class TestSruLayerBytes:
     # hidden 1 leaves the bias sums over T one axis, which numpy adds pairwise from T = 8.
     @pytest.mark.parametrize("hidden", [1, 5])
     @pytest.mark.parametrize("with_proj", [False, True])
-    @pytest.mark.parametrize("n", [None, 1, 2, 32])   # None: one (T, in) sequence
+    @pytest.mark.parametrize("n", [None, 1, 2, 32])   # None: one (T, in) sequence, as a batch
     @pytest.mark.parametrize("t_len", range(1, 10))
     def test_output_and_gradients_match_the_oracle(self, t_len, n, with_proj, hidden):
         in_dim = 3 if with_proj else hidden
         seed = 1000 * t_len + 10 * (n or 0) + 2 * hidden + with_proj
         rng = np.random.default_rng(seed)
-        lead = () if n is None else (n,)
-        x = rng.normal(size=(*lead, t_len, in_dim))
-        w = rng.normal(size=(*lead, t_len, hidden))
+        x = rng.normal(size=(n or 1, t_len, in_dim))   # (T, in) and (1, T, in) draw alike
+        w = rng.normal(size=(n or 1, t_len, hidden))
         far = rng.uniform(-800.0, 800.0, size=2)   # gate pre-activations up to +-800
 
         def make_layer():
@@ -269,9 +269,9 @@ class TestEncodeText:
         # One zero-weight layer of matching width: v = normalize(0.5 * x) = x / |x|.
         cfg, params = text_params(4, 4, 1, np.random.default_rng(0))
         params.update(zero_layer(4))
-        v = encode_text([2], params, cfg)
+        v = encode_text([[2]], params, cfg)
         row = params["word.table"].data[2]
-        np.testing.assert_allclose(v.data, row / np.linalg.norm(row), rtol=1e-14)
+        np.testing.assert_allclose(v.data[0], row / np.linalg.norm(row), rtol=1e-14)
 
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=15, deadline=None)
@@ -279,44 +279,44 @@ class TestEncodeText:
         rng = np.random.default_rng(seed)
         cfg, params = text_params(3, 5, 2, rng)
         tokens = rng.integers(0, len(VOCAB), size=length).tolist()
-        v = encode_text(tokens, params, cfg)
-        assert v.shape == (5,)
+        v = encode_text([tokens], params, cfg)
+        assert v.shape == (1, 5)
         assert abs(np.linalg.norm(v.data) - 1.0) <= 1e-12
 
     def test_token_order_matters(self):
         rng = np.random.default_rng(11)
         cfg, params = text_params(4, 4, 2, rng)
-        fwd = encode_text([1, 2, 3], params, cfg).data
-        rev = encode_text([3, 2, 1], params, cfg).data
+        fwd = encode_text([[1, 2, 3]], params, cfg).data
+        rev = encode_text([[3, 2, 1]], params, cfg).data
         assert not np.allclose(fwd, rev)
 
     def test_empty_sequence_rejected(self):
         cfg, params = text_params(4, 4, 1, np.random.default_rng(0))
         with pytest.raises(DegenerateInputError):
-            encode_text([], params, cfg)
+            encode_text([[]], params, cfg)
 
     def test_gradient_reaches_exactly_the_used_rows(self):
         rng = np.random.default_rng(12)
         cfg, params = text_params(4, 5, 2, rng)
-        v = encode_text([2, 5, 2], params, cfg)
-        weighted_sum((v, rng.normal(size=5))).backward()
+        v = encode_text([[2, 5, 2]], params, cfg)
+        weighted_sum((v, rng.normal(size=(1, 5)))).backward()
         used = np.any(params["word.table"].grad != 0.0, axis=1)
         np.testing.assert_array_equal(np.nonzero(used)[0], [2, 5])
 
     def test_eval_mode_is_deterministic(self):
         rng = np.random.default_rng(13)
         cfg, params = text_params(4, 4, 2, rng)
-        a = encode_text([1, 2, 3], params, cfg).data
-        b = encode_text([1, 2, 3], params, cfg).data
+        a = encode_text([[1, 2, 3]], params, cfg).data
+        b = encode_text([[1, 2, 3]], params, cfg).data
         np.testing.assert_array_equal(a, b)
 
     def test_interlayer_dropout_only_in_train_mode(self):
         rng = np.random.default_rng(14)
         cfg, params = text_params(4, 4, 2, rng)
         cfg = replace(cfg, sru_dropout=0.25)
-        eval_v = encode_text([1, 2], params, cfg, training=False).data
-        train_v = encode_text([1, 2], params, cfg, training=True, rng_key=(0, 0)).data
-        train_v2 = encode_text([1, 2], params, cfg, training=True, rng_key=(0, 0)).data
+        eval_v = encode_text([[1, 2]], params, cfg, training=False).data
+        train_v = encode_text([[1, 2]], params, cfg, training=True, rng_keys=[(0, 0)]).data
+        train_v2 = encode_text([[1, 2]], params, cfg, training=True, rng_keys=[(0, 0)]).data
         assert not np.allclose(eval_v, train_v)
         np.testing.assert_array_equal(train_v, train_v2)
 
@@ -327,7 +327,7 @@ class TestBatchedText:
         x = np.random.default_rng(13).normal(size=(3, 5, 3))
         batched = sru_layer(Tensor(x), layer).data
         for j in range(3):
-            np.testing.assert_array_equal(batched[j], sru_layer(Tensor(x[j]), layer).data)
+            np.testing.assert_array_equal(batched[j], sru_layer(Tensor(x[j:j + 1]), layer).data[0])
 
     def test_two_length_buckets_gradient(self, micro_model):
         seqs = [[1, 2], [3, 4, 5], [2, 6], [1, 1, 3]]    # lengths 2 and 3, interleaved

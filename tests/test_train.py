@@ -242,6 +242,14 @@ class TestTrainEpoch:
             assert rows_encoded() == everything, what
             assert rows_encoded() == 0, what
 
+    def test_an_unfrozen_epoch_drops_the_pooled_table(self):
+        model, dataset = tiny_setup()
+        sched = TrainSchedule(epochs=2, batch_size=4, freeze_epochs=1)
+        train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
+        assert model._pooled_table is not None
+        train_epoch(model, dataset, sched, AdamState(), epoch=1, seed=1)
+        assert model._pooled_table is None
+
     def test_frozen_epoch_over_two_image_sizes_matches_the_oracle(self):
         """Scenes of 64x64 and 48x48 share batches; the projection's gradient sums
         over the rows in input order, as one graph per example does.  The second
