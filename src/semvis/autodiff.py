@@ -84,8 +84,8 @@ class Tensor:
     """A dense n-d float64 array, optionally tracked for differentiation.
 
     ``data`` is the value, ``grad`` (same shape, allocated lazily) collects
-    d(loss)/d(self) during backward.  ``requires_grad`` marks trainable
-    leaves; it propagates automatically through ops.
+    d(loss)/d(self) during backward.  ``requires_grad``, fixed when the tensor
+    is made, marks trainable leaves; it propagates automatically through ops.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op",
@@ -369,10 +369,9 @@ def take_row(a: Tensor, index: int) -> Tensor:
     index = int(index)
 
     def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[:, index] = g
-            _accum(a, buf)
+        buf = np.zeros_like(a.data)
+        buf[:, index] = g
+        _accum(a, buf)
 
     return _result(a.data[:, index].copy(), (a,), "take_row", backward)
 
@@ -386,15 +385,14 @@ def take_rows(a: Tensor, indices) -> Tensor:
     seqs = idx.reshape(idx.shape[0] if idx.ndim > 1 else 1, -1)
 
     def backward(g):
-        if a.requires_grad:
-            rows = g.reshape(*seqs.shape, a.data.shape[1])
+        rows = g.reshape(*seqs.shape, a.data.shape[1])
 
-            def part(k):
-                buf = np.zeros_like(a.data)
-                np.add.at(buf, seqs[k], rows[k])
-                return buf
+        def part(k):
+            buf = np.zeros_like(a.data)
+            np.add.at(buf, seqs[k], rows[k])
+            return buf
 
-            _accum(a, sum_examples(len(seqs), part))
+        _accum(a, sum_examples(len(seqs), part))
 
     return _result(a.data[idx], (a,), "take_rows", backward)
 
@@ -668,12 +666,12 @@ def _conv_forward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk: 
 
 def _conv_backward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk: int,
                    split: bool, g: np.ndarray, relu_out: np.ndarray | None, bias_grad: bool,
-                   kernel_grad: bool, input_grad: bool):
-    """``conv2d``'s bias (Cout,), kernel (Cout, K) and input (Cin, N, H*W) gradients, each
-    None where not wanted, chunk by chunk.  With ``relu_out``, the output gradient ``g``
-    is masked where that output is not positive, a chunk at a time.  The per-image bias
-    and kernel partials are summed on the calling thread last image first, as
-    ``sum_examples`` sums them."""
+                   input_grad: bool):
+    """``conv2d``'s bias (Cout,), kernel (Cout, K) and input (Cin, N, H*W) gradients, the
+    bias and input ones None where not wanted, chunk by chunk.  With ``relu_out``, the
+    output gradient ``g`` is masked where that output is not positive, a chunk at a time.
+    The per-image bias and kernel partials are summed on the calling thread last image
+    first, as ``sum_examples`` sums them."""
     cin, n, h, w = images.shape
     cout, positions = g.shape[0], g.shape[2]
     spans = [(lo, min(n, lo + chunk)) for lo in range(0, n, chunk)]
@@ -681,8 +679,8 @@ def _conv_backward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk:
     flat, cols = _conv_scratch(images, index, chunk, threads)
     masked = np.empty((threads, chunk, cout, positions)) if relu_out is not None else None
     mask = np.empty(masked.shape, dtype=bool) if relu_out is not None else None
-    parts = [np.empty((window, chunk, *shape)) if wanted else None
-             for wanted, shape in ((bias_grad, (cout,)), (kernel_grad, k2.shape))]
+    parts = [np.empty((window, chunk, cout)) if bias_grad else None,
+             np.empty((window, chunk, *k2.shape))]
     totals = [None, None]
     gx = np.empty((cin, n, h * w)) if input_grad else None
 
@@ -694,9 +692,8 @@ def _conv_backward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk:
             gj = np.multiply(gj, mask[t, :hi - lo], out=masked[t, :hi - lo])
         if bias_grad:
             gj.sum(axis=2, out=parts[0][j % window, :hi - lo])
-        if kernel_grad:
-            np.matmul(gj, _gather(images, index, flat[t], cols[t], lo, hi).swapaxes(1, 2),
-                      out=parts[1][j % window, :hi - lo])
+        np.matmul(gj, _gather(images, index, flat[t], cols[t], lo, hi).swapaxes(1, 2),
+                  out=parts[1][j % window, :hi - lo])
         if input_grad:
             gcols = np.matmul(k2.T, gj, out=cols[t, :hi - lo])
             for k in range(lo, hi):
@@ -714,7 +711,7 @@ def _conv_backward(images: np.ndarray, k2: np.ndarray, index: np.ndarray, chunk:
                 else:
                     totals[i] += part[j % window, k - lo]
 
-    _run_items(len(spans), item, fold if bias_grad or kernel_grad else None, window, split)
+    _run_items(len(spans), item, fold, window, split)
     return totals[0], totals[1], gx
 
 
@@ -769,8 +766,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
 
     def backward(g):
         grads = _conv_backward(x.data, k2, index, chunk, split, g.reshape(out.shape),
-                               out if relu else None, bias is not None, kernel.requires_grad,
-                               x.requires_grad)
+                               out if relu else None, bias is not None, x.requires_grad)
         for t, grad in zip((bias, kernel, x), grads):
             if grad is not None:
                 _accum(t, grad.reshape(t.data.shape))
@@ -795,12 +791,11 @@ def spatial_max_min(x: Tensor) -> Tensor:
     out = (flat[rows, imax] + flat[rows, imin]).reshape(c, n).T
 
     def backward(g):
-        if x.requires_grad:
-            g = g.T.reshape(-1)
-            buf = np.zeros_like(flat)
-            buf[rows, imax] = g
-            buf[rows, imin] += g
-            _accum(x, buf.reshape(x.data.shape))
+        g = g.T.reshape(-1)
+        buf = np.zeros_like(flat)
+        buf[rows, imax] = g
+        buf[rows, imin] += g
+        _accum(x, buf.reshape(x.data.shape))
 
     return _result(out, (x,), "spatial_max_min", backward)
 

@@ -6,15 +6,13 @@ the ranking loss takes the two (N, d) embedding matrices.  When the batch
 is one image size and one token length, as on generated data, it trains bit
 for bit like one graph per image and per caption.  The text encoder, the
 word table and the final projection train from epoch zero; the rest of the
-image pipeline joins after ``freeze_epochs``.  A frozen tensor is not
-tracked during the epoch (``train_epoch`` clears its ``requires_grad`` and
-restores it afterwards), so the graph records no op whose inputs are all
-frozen and back-propagation stops at ``proj.*``.  A frozen epoch encodes
-each image once, up to its pooled vector, and every batch projects those
-rows instead of running the convolutions again.  The model keeps that table,
-and a later frozen epoch reuses it while the pooling mode, the block count,
-the ``backbone.*`` and ``adapt.*`` tensors and the images are byte-equal to
-what built it, so only the first frozen epoch runs the convolutions; the
+image pipeline joins after ``freeze_epochs``.  A frozen epoch encodes each
+image once, untracked, up to its pooled vector, and every batch projects
+those untracked rows instead of running the convolutions again, so
+back-propagation stops at ``proj.*``.  The model keeps that table, and a
+later frozen epoch reuses it while the pooling mode, the block count, the
+frozen ``backbone.*`` and ``adapt.*`` tensors and the images are byte-equal
+to what built it, so only the first frozen epoch runs the convolutions; the
 first unfrozen epoch drops it.  The learning rate starts at ``lr0`` and
 halves every epoch until ``halving_until_epoch``, then stays fixed.  All
 randomness (shuffling, caption sampling, dropout) is derived from (seed,
@@ -57,10 +55,8 @@ _EPOCH_SALT = 11
 CHECKPOINT_MAGIC = b"SVEC"
 CHECKPOINT_VERSION = 2
 
-# Parameter-name prefixes that train from epoch zero, and those of the image
-# pipeline up to the pooled vector, which join after ``freeze_epochs``.
+# Parameter-name prefixes that train from epoch zero; the rest join after ``freeze_epochs``.
 EARLY_TRAINABLE = ("sru.", "word.", "proj.")
-IMAGE_PIPELINE = ("backbone.", "adapt.")
 
 
 @dataclass
@@ -150,10 +146,11 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
     fewer than two distinct scenes is skipped (it has no negatives).  While
     ``backbone.*`` and ``adapt.*`` are frozen a scene's pooled row is fixed, so
     each appearing scene is encoded once per epoch, untracked and a batch of
-    images at a time, and a batch projects the rows of its scenes; otherwise
-    a batch encodes its own images, tracked.  That table stays on the model
-    (``Model._pooled_table``) beside byte copies of all it was built from, and
-    the next frozen epoch reuses it when they are unchanged, whatever the
+    images at a time, and a batch projects the untracked rows of its scenes:
+    backward stops at ``proj.*``, and the frozen tensors get no gradient.
+    Otherwise a batch encodes its own images, tracked.  That table stays on the
+    model (``Model._pooled_table``) beside byte copies of all it was built from,
+    and the next frozen epoch reuses it when they are unchanged, whatever the
     batch size; any change rebuilds it, and an unfrozen epoch drops it.
     """
     if not dataset.scenes:
@@ -169,73 +166,65 @@ def train_epoch(model: Model, dataset: Dataset, sched: TrainSchedule, state: Ada
     lr = effective_lr(epoch, sched)
     names = trainable_set(epoch, sched, model.params)
 
-    # A frozen tensor leaves the graph for the epoch: no node is built for an op
-    # whose inputs are all frozen, and backward stops where trainable tensors end.
-    trainable = set(names)
-    frozen = [p for n, p in model.params.items() if n not in trainable and p.requires_grad]
-    for p in frozen:
-        p.requires_grad = False
-    try:
-        appearing, table = np.unique(order), None
-        if any(n.startswith(IMAGE_PIPELINE) for n in names):
-            model._pooled_table = None   # the pipeline trains, so no epoch can reuse it
-        else:
-            images = [dataset.scenes[i].image for i in appearing]
-            # Everything a pooled row reads.  The table is reused while byte copies of
-            # these parts match, compared one at a time; a rebuild is bit for bit the same.
-            parts = [model.cfg.pooling, len(model.cfg.hidden_channels), *images,
-                     *(x for n, p in model.params.items() if n.startswith(IMAGE_PIPELINE)
-                       for x in (n, p.data))]
-            key = model._pooled_table and model._pooled_table[0]
-            if not key or len(key) != len(parts) or any(
-                    k != _byte_copy(part) for k, part in zip(key, parts)):
-                model._pooled_table = None
-                with no_grad():
-                    rows = stack_rows([model.pool_images(images[lo:lo + sched.batch_size])
-                                       for lo in range(0, len(images), sched.batch_size)])
-                model._pooled_table = [_byte_copy(part) for part in parts], rows
-            table = model._pooled_table[1]
-        pools = {i: _training_captions(dataset.scenes[i]) for i in appearing.tolist()}
-        losses = []
-        for step, start in enumerate(range(0, len(order), sched.batch_size)):
-            idxs = order[start:start + sched.batch_size]
-            if len(idxs) < 2 or len(set(int(i) for i in idxs)) < 2:
-                continue
-            scenes, captions = [], []
-            taken: set[str] = set()
-            for scene_idx in idxs:
-                scene = dataset.scenes[int(scene_idx)]
-                # Template captions repeat across scenes ("a red circle" belongs to
-                # every scene with a red circle), and a duplicate owned by another
-                # image is an unsatisfiable hard negative whose hinge is pinned at
-                # the margin.  So per appearance we sample among the scene's most
-                # descriptive captions (the conjunctions, when present) and redraw
-                # on a string collision within the batch.
-                pool = pools[int(scene_idx)]
-                for _ in range(8):
-                    cap = pool[int(rng.integers(0, len(pool)))]
-                    if cap not in taken:
-                        break
-                taken.add(cap)
-                scenes.append(scene)
-                captions.append(cap)
-            keys = [(seed, epoch, step, j) for j in range(len(scenes))]
-            pooled = (model.pool_images([s.image for s in scenes]) if table is None
-                      else take_rows(table, np.searchsorted(appearing, idxs)))
-            images = model.project(pooled, training=True, rng_keys=keys)
-            texts = model.encode_texts(captions, training=True, rng_keys=keys)
-            loss = batch_loss(Batch(images, texts, [s.scene_id for s in scenes]), loss_cfg)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise ArithmeticError(
-                    f"non-finite loss {value} in batch {step} of epoch {epoch}")
-            loss.backward()
-            adam_step(model.params, state, lr, names)
-            zero_grads(model.params.values())
-            losses.append(value)
-    finally:
-        for p in frozen:
-            p.requires_grad = True
+    # While anything is frozen it is the image pipeline up to the pooled vector
+    # (``backbone.*`` and ``adapt.*``), so a scene's pooled row is fixed for the epoch.
+    frozen = sorted(set(model.params).difference(names))
+    appearing, table = np.unique(order), None
+    if not frozen:
+        model._pooled_table = None   # the pipeline trains, so no epoch can reuse it
+    else:
+        images = [dataset.scenes[i].image for i in appearing]
+        # Everything a pooled row reads.  The table is reused while byte copies of
+        # these parts match, compared one at a time; a rebuild is bit for bit the same.
+        parts = [model.cfg.pooling, len(model.cfg.hidden_channels), *images,
+                 *(x for n in frozen for x in (n, model.params[n].data))]
+        key = model._pooled_table and model._pooled_table[0]
+        if not key or len(key) != len(parts) or any(
+                k != _byte_copy(part) for k, part in zip(key, parts)):
+            model._pooled_table = None
+            with no_grad():
+                rows = stack_rows([model.pool_images(images[lo:lo + sched.batch_size])
+                                   for lo in range(0, len(images), sched.batch_size)])
+            model._pooled_table = [_byte_copy(part) for part in parts], rows
+        table = model._pooled_table[1]
+    pools = {i: _training_captions(dataset.scenes[i]) for i in appearing.tolist()}
+    losses = []
+    for step, start in enumerate(range(0, len(order), sched.batch_size)):
+        idxs = order[start:start + sched.batch_size]
+        if len(idxs) < 2 or len(set(int(i) for i in idxs)) < 2:
+            continue
+        scenes, captions = [], []
+        taken: set[str] = set()
+        for scene_idx in idxs:
+            scene = dataset.scenes[int(scene_idx)]
+            # Template captions repeat across scenes ("a red circle" belongs to
+            # every scene with a red circle), and a duplicate owned by another
+            # image is an unsatisfiable hard negative whose hinge is pinned at
+            # the margin.  So per appearance we sample among the scene's most
+            # descriptive captions (the conjunctions, when present) and redraw
+            # on a string collision within the batch.
+            pool = pools[int(scene_idx)]
+            for _ in range(8):
+                cap = pool[int(rng.integers(0, len(pool)))]
+                if cap not in taken:
+                    break
+            taken.add(cap)
+            scenes.append(scene)
+            captions.append(cap)
+        keys = [(seed, epoch, step, j) for j in range(len(scenes))]
+        pooled = (model.pool_images([s.image for s in scenes]) if table is None
+                  else take_rows(table, np.searchsorted(appearing, idxs)))
+        images = model.project(pooled, training=True, rng_keys=keys)
+        texts = model.encode_texts(captions, training=True, rng_keys=keys)
+        loss = batch_loss(Batch(images, texts, [s.scene_id for s in scenes]), loss_cfg)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise ArithmeticError(
+                f"non-finite loss {value} in batch {step} of epoch {epoch}")
+        loss.backward()
+        adam_step(model.params, state, lr, names)
+        zero_grads(model.params.values())
+        losses.append(value)
     if not losses:
         raise ContractError("dataset too small to form a single batch of >= 2 scenes")
     return float(np.mean(losses))
@@ -245,10 +234,11 @@ def train(model: Model, dataset: Dataset, sched: TrainSchedule, seed: int,
           state: AdamState | None = None, start_epoch: int = 0, out=None) -> list[dict]:
     """Run epochs [start_epoch, sched.epochs); returns one log record per epoch.
 
-    With a checkpoint path ``out``, each epoch's record is appended to
-    ``<out>.log.jsonl`` and reported on stderr, and the checkpoint is saved
-    after it: a crash loses at most the epoch in progress, and a resume
-    continues from the last one saved.  With no epoch left, it is saved once.
+    With a checkpoint path ``out``, each epoch's record goes to ``<out>.log.jsonl``
+    (a run from epoch 0 starts it afresh, a resumed run appends) and to stderr, and
+    the checkpoint is saved after it: a crash loses at most the epoch in progress,
+    and a resume continues from the last one saved.  With no epoch left, it is
+    saved once, and a fresh run leaves an empty log.
     """
     if state is None:
         state = AdamState()
@@ -259,11 +249,13 @@ def train(model: Model, dataset: Dataset, sched: TrainSchedule, seed: int,
                   "trainable": trainable_set(epoch, sched, model.params)}
         history.append(record)
         if out is not None:
-            with open(f"{out}.log.jsonl", "a", encoding="utf-8") as fh:
+            with open(f"{out}.log.jsonl", "w" if epoch == 0 else "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
             print(f"epoch {epoch}: loss {loss:.6f} lr {record['lr']:.2e}", file=sys.stderr)
             save_checkpoint(out, model, state, sched, seed, next_epoch=epoch + 1)
     if out is not None and not history:
+        if start_epoch == 0:   # a fresh run of no epoch: no other run's records stay
+            open(f"{out}.log.jsonl", "w", encoding="utf-8").close()
         save_checkpoint(out, model, state, sched, seed, next_epoch=sched.epochs)
     return history
 

@@ -248,6 +248,33 @@ class TestTrain:
         assert out.read_bytes() == trained_ckpt.read_bytes()
         assert not (tmp_path / "again.ckpt.log.jsonl").exists()
 
+    def test_a_fresh_run_starts_its_log_afresh(self, tmp_path, workspace):
+        """Two fresh runs into one --out leave the log of one run into an empty path
+        (an empty log when the second has no epoch), and a run resumed into its own
+        --out appends to its log."""
+        _, data, _, _ = workspace
+
+        def log_after(out, *seeds, epochs=2):
+            for seed in seeds:
+                assert main(["train", "--data", str(data), "--out", str(out), "--epochs",
+                             str(epochs), "--batch-size", "4", "--seed", str(seed)]
+                            + TINY_FLAGS) == 0
+            return open(f"{out}.log.jsonl", "rb").read()
+
+        straight = log_after(tmp_path / "fresh.ckpt", 9)
+        assert len(straight.splitlines()) == 2
+        assert log_after(tmp_path / "m.ckpt", 1, 9) == straight
+        assert log_after(tmp_path / "m.ckpt", 1, epochs=0) == b""
+
+        half = tmp_path / "half.ckpt"
+        log_after(half, 9, epochs=1)
+        bundle = load_checkpoint(half)   # stretch the stored schedule to 2 epochs
+        semvis.train.save_checkpoint(half, bundle.model, bundle.opt_state,
+                                     replace(bundle.schedule, epochs=2), bundle.seed,
+                                     bundle.next_epoch)
+        assert main(["train", "--data", str(data), "--resume", str(half), "--out", str(half)]) == 0
+        assert open(f"{half}.log.jsonl", "rb").read() == straight
+
     def test_resume_on_another_vocabulary_exit_1(self, tmp_path, capsys, workspace):
         _, _, _, trained_ckpt = workspace
         other = tmp_path / "other"

@@ -14,7 +14,10 @@ outside code calls the interface the class implements.  Importing or
 re-exporting a name does not reach it.
 
 A second pass fails on any name that a file in ``src/``, ``tests/`` or
-``demos/`` imports and never reads.
+``demos/`` imports and never reads, and a third on any assignment to a
+``requires_grad`` attribute outside ``autodiff.py``: a tensor's flag is fixed
+where the engine makes it, and training freezes tensors by keeping them out of
+the graph, not by clearing their flags.
 """
 
 import ast
@@ -221,3 +224,26 @@ def unread_imports() -> list[str]:
 def test_every_imported_name_is_read():
     unread = unread_imports()
     assert not unread, "imported and never read: " + ", ".join(unread)
+
+
+def requires_grad_assignments() -> list[str]:
+    """``file:line`` of every assignment to a ``requires_grad`` attribute in a module of
+    ``src/semvis`` other than ``autodiff.py``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr == "requires_grad":
+                        found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_only_the_engine_sets_requires_grad():
+    found = requires_grad_assignments()
+    assert not found, "requires_grad assigned outside autodiff.py: " + ", ".join(found)

@@ -153,12 +153,11 @@ class TestTrainEpoch:
                 out._backward = lambda g: (conv_backward_calls.append(1), inner(g))
             return out
 
-        with_grad, tracked = set(), set()
+        with_grad = set()
         real_adam_step = train_module.adam_step
 
         def recording_adam_step(params, state, lr, names):
             with_grad.update(n for n, p in params.items() if p.grad is not None)
-            tracked.update(n for n, p in params.items() if p.requires_grad)
             real_adam_step(params, state, lr, names)
 
         monkeypatch.setattr(autodiff, "conv2d", counting_conv2d)
@@ -167,19 +166,17 @@ class TestTrainEpoch:
         sched = TrainSchedule(epochs=2, batch_size=4, freeze_epochs=1)
         train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
         early = set(trainable_set(0, sched, model.params))
-        assert with_grad == tracked == early
+        assert with_grad == early
         assert not conv_backward_calls
         assert all(p.requires_grad for p in model.params.values())
 
         with_grad.clear()
-        tracked.clear()
         train_epoch(model, dataset, sched, AdamState(), epoch=1, seed=1)   # the control
-        assert with_grad == tracked == set(model.params)
+        assert with_grad == set(model.params)
         assert conv_backward_calls
 
     def test_requires_grad_restored_when_the_epoch_raises(self, monkeypatch):
         def failing_loss(batch, cfg):
-            assert not model.params["backbone.0.kernel"].requires_grad
             raise RuntimeError("loss failed")
 
         monkeypatch.setattr(train_module, "batch_loss", failing_loss)
@@ -190,7 +187,6 @@ class TestTrainEpoch:
         assert all(p.requires_grad for p in model.params.values())
 
         def failing_backbone(image, params, blocks=4):   # while the pooled table is built
-            assert not model.params["backbone.0.kernel"].requires_grad
             raise RuntimeError("encode failed")
 
         # A fresh model: the first one kept its pooled table and would not rebuild it.
@@ -200,6 +196,36 @@ class TestTrainEpoch:
             train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
         assert all(p.requires_grad for p in model.params.values())
         assert model._pooled_table is None   # a failed build keeps nothing
+
+    def test_a_frozen_epoch_keeps_every_flag_and_its_graph_stops_at_proj(self, monkeypatch):
+        """No parameter's ``requires_grad`` is cleared during a frozen epoch: the loss
+        graph reaches no ``backbone.*`` or ``adapt.*`` tensor because a batch projects
+        untracked pooled rows."""
+        flags, reached = [], set()
+        real_batch_loss = train_module.batch_loss
+
+        def inspecting_batch_loss(batch, cfg):
+            flags.append(all(p.requires_grad for p in model.params.values()))
+            loss = real_batch_loss(batch, cfg)
+            seen, stack = set(), [loss]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            reached.update(n for n, p in model.params.items() if id(p) in seen)
+            return loss
+
+        monkeypatch.setattr(train_module, "batch_loss", inspecting_batch_loss)
+        model, dataset = tiny_setup()
+        sched = TrainSchedule(epochs=2, batch_size=4, freeze_epochs=1)
+        train_epoch(model, dataset, sched, AdamState(), epoch=0, seed=1)
+        assert flags and all(flags)
+        assert reached == set(trainable_set(0, sched, model.params))
+
+        reached.clear()
+        train_epoch(model, dataset, sched, AdamState(), epoch=1, seed=1)   # the control
+        assert reached == set(model.params)
 
     def test_a_frozen_epoch_encodes_each_scene_once(self, backbone_rows):
         model, dataset = tiny_setup()
